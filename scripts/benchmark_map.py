@@ -5,12 +5,15 @@ exact path, and thread scaling of the fast path.
     python3 scripts/benchmark_map.py --duration 0.5
     python3 scripts/benchmark_map.py --duration 2.0 --thetas 800 --workers 1 2 4 8
 
-The exact path recomputes the filtered autocorrelation once per phase, so
-its cost grows linearly with --thetas; the fast path reuses a fixed set of
-demodulated correlations. The exact timing is extrapolated from a small
-probe grid unless --full-exact is given.
+Both paths read the trace's memoised stream basis; every timed run starts
+from a fresh copy of the trace, so building the basis is inside the timing.
+The exact path adds one rhet_spectrum call per phase (an O(n_freq) row for
+tbar, a full t0 estimate for t0), so its cost grows linearly with --thetas.
+The exact timing is extrapolated from two passes over a small probe grid
+(basis build plus per-phase rows) unless --full-exact is given.
 """
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -56,7 +59,8 @@ def main(argv=None):
     base = None
     for w in args.workers:
         t0 = time.perf_counter()
-        mp = theta_map_fast(tr, n_theta=args.thetas, workers=w, **common)
+        mp = theta_map_fast(dataclasses.replace(tr), n_theta=args.thetas,
+                            workers=w, **common)
         dt_fast = time.perf_counter() - t0
         note = ""
         if base is None:
@@ -70,16 +74,23 @@ def main(argv=None):
 
     if args.full_exact:
         t0 = time.perf_counter()
-        me = theta_map_exact(tr, n_theta=args.thetas, **common)
+        me = theta_map_exact(dataclasses.replace(tr), n_theta=args.thetas,
+                             **common)
         dt_exact = time.perf_counter() - t0
         print(f"exact {args.thetas:4d} thetas             {dt_exact:8.2f} s")
     else:
+        probe = dataclasses.replace(tr)
         t0 = time.perf_counter()
-        me = theta_map_exact(tr, n_theta=args.probe_thetas, **common)
+        me = theta_map_exact(probe, n_theta=args.probe_thetas, **common)
+        dt_first = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        theta_map_exact(probe, n_theta=args.probe_thetas, **common)
         dt_probe = time.perf_counter() - t0
-        dt_exact = dt_probe * args.thetas / args.probe_thetas
+        # the first probe also built the basis that the second one reused
+        dt_exact = (max(dt_first - dt_probe, 0.0)
+                    + dt_probe * args.thetas / args.probe_thetas)
         print(f"exact {args.probe_thetas:4d} thetas             "
-              f"{dt_probe:8.2f} s  (-> ~{dt_exact:.0f} s at "
+              f"{dt_first:8.2f} s  (-> ~{dt_exact:.1f} s at "
               f"{args.thetas} thetas)")
         mp = theta_map_fast(tr, n_theta=args.probe_thetas, workers=1,
                             **common)

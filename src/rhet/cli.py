@@ -17,8 +17,7 @@ import numpy as np
 from . import __version__
 from .analytic import (field_spectra, filter_coefficients, heterodyne_psd,
                        homodyne_psd, rhet_prediction)
-from .core import (TWO_PI, ConfigError, GridError, PhaseDriftSpec,
-                   TraceFormatError, validate_config)
+from .core import TWO_PI, ConfigError, PhaseDriftSpec, validate_config
 from .estimator import complex_corr_spectrum, rhet_spectrum, standard_psd
 from .io import (CONFIG_SCHEMA_VERSION, TRACE_VERSION, compare_spectra,
                  read_config, read_spectrum, read_trace, write_map,
@@ -230,17 +229,12 @@ def main(argv=None) -> int:
     handlers = {"synth": _cmd_synth, "spectrum": _cmd_spectrum,
                 "map": _cmd_map, "analytic": _cmd_analytic,
                 "compare": _cmd_compare}
+    # ConfigError and GridError are ValueErrors, TraceFormatError an OSError
     try:
         return handlers[args.command](args)
-    except (ConfigError, GridError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except TraceFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

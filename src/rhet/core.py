@@ -97,16 +97,23 @@ class ExperimentConfig:
 
 @dataclass(eq=False)
 class TimeTrace:
-    """Sampled photocurrent plus the metadata needed to process it."""
+    """Sampled photocurrent plus the metadata needed to process it.
+
+    samples is a read-only view: rhet.estimator memoises per-trace spectral
+    streams in the private _bases field, and a writable payload could make
+    them stale.
+    """
 
     samples: np.ndarray
     dt: float
     omega_beat: float
     theta_nominal: float = 0.0
     label: str = ""
+    _bases: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        self.samples = np.asarray(self.samples, dtype=np.float64).view()
+        self.samples.flags.writeable = False
         if self.samples.ndim != 1 or self.samples.size < 2:
             raise ValueError("trace must be a 1-d array with at least 2 samples")
         if not (self.dt > 0):
@@ -131,15 +138,17 @@ class PhaseSeries:
     """Sampled phase-vs-time record (lock-in output, drift injection...).
 
     Contract: times strictly increasing, theta continuous in the unwrapped
-    sense (no jump above pi between adjacent points).
+    sense (no jump above pi between adjacent points). Both are read-only
+    views, since a series keys the estimator's per-trace memo.
     """
 
     times: np.ndarray
     theta: np.ndarray
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.float64)
-        self.theta = np.asarray(self.theta, dtype=np.float64)
+        self.times = np.asarray(self.times, dtype=np.float64).view()
+        self.theta = np.asarray(self.theta, dtype=np.float64).view()
+        self.times.flags.writeable = self.theta.flags.writeable = False
         if self.times.ndim != 1 or self.times.shape != self.theta.shape:
             raise ValueError("times and theta must be 1-d arrays of equal length")
         if self.times.size < 2:

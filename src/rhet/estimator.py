@@ -4,43 +4,41 @@ The central object is the periodically weighted autocorrelation
 
     A(tau) = < F_eps(t*) i(t) i(t+tau) >,
 
-where F_eps is the square filter of FilterSpec and t* is either the first
-sample time (variant "t0") or the midpoint t + tau/2 (variant "tbar").
-For eps = +1 the filter is identically 1 and A is the plain autocorrelation,
-so the spectrum reduces to the ordinary Welch PSD; for eps = -1 the
-heterodyne background cancels and only the beat-synchronous correlations
-survive.
+with F_eps the square filter of FilterSpec and t* the first sample time
+(variant "t0") or the midpoint t + tau/2 ("tbar"). eps = +1 gives the plain
+Welch PSD; eps = -1 cancels the heterodyne background and keeps only the
+beat-synchronous correlations.
 
-Implementation notes.
+One engine serves the tbar spectrum, both phase maps and the cross-spectrum.
+Each segment gives two theta-independent streams, even in w and kept on
+the n//2+1 non-negative bins: P0 = dt/N |FFT i|^2 and G = dt (D(w) + D(-w)),
+D = FFT[e^{i Om tau} c(tau)], with c the circular cross-correlation (1/N)
+of x = e^{-2i Om t} i against y = i (with a measured LO phase each side
+carries half the drift correction). The filter's Fourier series gives
 
-* t0 uses the literal filter samples: A(m) = (1/N) sum_n F(t_n) i_n i_{n+m},
-  evaluated with one cross-correlation FFT. This is the defining sum, with
-  one discretization caveat: when the sampling is commensurate with the
-  filter period and a discontinuity lands exactly on the sample grid, the
-  discrete filter's mean shifts by +-(1-eps)/M (M samples per filter
-  period), which leaks that fraction of the heterodyne background into
-  eps < 1 spectra. Incommensurate sampling or generic phase offsets make
-  the leakage O(1/N).
+    S(eps, theta, w) = c0 P0 + c1 Re[e^{-2i theta} G];
 
-* tbar expands the filter in its Fourier series. The k-th harmonic becomes
-  a demodulated cross-correlation stream x_k = e^{-i k 2 Om t} i(t) against
-  y_k = i(t); midpoint evaluation contributes the closed-form phase
-  e^{i k Om tau}. Only odd harmonics are nonzero, and for stationary input
-  every term beyond k = 1 demodulates current content at 2k Om where there
-  is none, so the default keeps k <= 1 (`harmonics` raises the cap; the
-  extra streams add noise, not signal).
+harmonics k >= 3 demodulate content at 2k Om, where stationary input has
+none. The running mean and co-moment M (Welford, fixed segment order) of
+(P0, Re G, Im G) is memoised per trace, so each further (eps, theta) costs
+O(n_freq); the variance of a = (c0, c1 cos 2theta, c1 sin 2theta) applied
+to it is a^T M a / (S(S-1)).
 
-* Autocorrelations are stored on lags 0..n/2 with circularly-even
-  symmetrized values. This is exact (a no-op) for eps = +1 and for tbar,
-  and for t0 it equals keeping the real part of the spectrum, which is what
-  the PSD uses anyway.
+t0 transforms the literal filter samples per segment, S = dt/N
+Re[conj(FFT(F i)) FFT(i)]. When the sampling is commensurate with the
+filter period and a discontinuity lands exactly on the sample grid, the
+discrete filter's mean shifts by +-(1-eps)/M (M samples per filter period)
+and leaks that fraction of the heterodyne background into eps < 1 spectra;
+otherwise the leakage is O(1/N).
 
-* All spectra are two-sided on ascending angular-frequency grids,
-  S = dt * Re FFT(A), so Parseval reads sum(S) dw = 2 pi A(0).
+max_lag or a lag window goes through filtered_autocorr, also the
+independent reference the engine is tested against; it stores lags 0..n/2,
+circularly-even symmetrized. All spectra are two-sided on ascending
+angular-frequency grids, S = dt * Re FFT(A), so sum(S) dw = 2 pi A(0).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -86,16 +84,16 @@ def eval_filter(f: FilterSpec, t) -> np.ndarray:
     return np.where(wrapped <= np.pi, 1.0, f.epsilon)
 
 
-def _xcorr_circ_real(x, y, n, workers):
-    fx = sfft.rfft(x, workers=workers)
-    fy = sfft.rfft(y, workers=workers)
-    return sfft.irfft(np.conj(fx) * fy, n=n, workers=workers)
-
-
-def _xcorr_circ_cplx(x, y, workers):
-    fx = sfft.fft(x, workers=workers)
-    fy = sfft.fft(y, workers=workers)
-    return sfft.ifft(np.conj(fx) * fy, workers=workers)
+def _xcorr(x, y, nf, workers):
+    """Circular cross-correlation sum_n conj(x_n) y_{n+m} on nf points,
+    zero-padding x and y when nf exceeds their length."""
+    if np.isrealobj(x) and np.isrealobj(y):
+        fx = sfft.rfft(x, nf, workers=workers)
+        return sfft.irfft(np.conj(fx) * sfft.rfft(y, nf, workers=workers),
+                          n=nf, workers=workers)
+    fx = sfft.fft(x, nf, workers=workers)
+    return sfft.ifft(np.conj(fx) * sfft.fft(y, nf, workers=workers),
+                     workers=workers)
 
 
 def _xcorr_lin(x, y, n, n_lag, workers):
@@ -105,17 +103,8 @@ def _xcorr_lin(x, y, n, n_lag, workers):
     neg[m] the same at lag -m.
     """
     nf = sfft.next_fast_len(n + n_lag + 1)
-    if np.isrealobj(x) and np.isrealobj(y):
-        fx = sfft.rfft(x, nf, workers=workers)
-        fy = sfft.rfft(y, nf, workers=workers)
-        raw = sfft.irfft(np.conj(fx) * fy, n=nf, workers=workers)
-    else:
-        fx = sfft.fft(x, nf, workers=workers)
-        fy = sfft.fft(y, nf, workers=workers)
-        raw = sfft.ifft(np.conj(fx) * fy, workers=workers)
-    pos = raw[: n_lag + 1]
-    neg = np.concatenate((raw[:1], raw[nf - n_lag:][::-1]))
-    return pos, neg
+    raw = _xcorr(x, y, nf, workers)
+    return raw[: n_lag + 1], np.concatenate((raw[:1], raw[nf - n_lag:][::-1]))
 
 
 def _signed_lags(n, dt):
@@ -123,62 +112,50 @@ def _signed_lags(n, dt):
     return np.where(m <= n // 2, m, m - n) * dt
 
 
-def _symmetrize_half(full, n):
-    """Fold a full circular lag array onto 0..n//2 as 0.5*(A(m)+A(-m))."""
-    half = n // 2
-    out = full[: half + 1].copy()
-    out[1:] += full[n - np.arange(1, half + 1)]
-    out[1:] *= 0.5
-    out[0] = full[0]
-    return out
+def _pairs(a, n):
+    """(a[k], a[-k mod n]) for k = 0..n//2 of a circular array."""
+    h = n // 2 + 1
+    return a[:h], a[(-np.arange(h)) % n]
 
 
-def _dyn_values(f: FilterSpec, t_abs):
-    if f.dynamic_offset is None:
-        return None
-    return f.dynamic_offset.sample_at(t_abs)
+def _demod_pair(cur, phasor, half_d):
+    """Pair (x, y) = (phasor e^{i half_d} i, e^{-i half_d} i) whose
+    cross-correlation carries one filter harmonic; half_d = k d(t)/2, or
+    None for a static filter (y is then the real current itself)."""
+    if half_d is None:
+        return phasor * cur, cur
+    h = np.exp(1j * half_d)
+    return phasor * h * cur, np.conj(h) * cur
 
 
-def _tbar_half(cur, dt, f, phi0, t_abs, n_lag, mode, harmonics, workers):
+def _tbar_half(cur, dt, f, t_abs, n_lag, mode, harmonics, workers):
     """tbar autocorrelation via harmonic streams, already symmetrized."""
     n = cur.size
     c0 = filter_coefficients(f.epsilon, 0)
-    d = _dyn_values(f, t_abs)
-    ks = [k for k in range(1, harmonics + 1, 2)
-          if filter_coefficients(f.epsilon, k) != 0.0]
+    d = None if f.dynamic_offset is None else f.dynamic_offset.sample_at(t_abs)
     if mode == "circular":
-        a_full = c0 * _xcorr_circ_real(cur, cur, n, workers)
+        acc = c0 * _xcorr(cur, cur, n, workers)
         tau = _signed_lags(n, dt)
-        for k in ks:
-            ck = filter_coefficients(f.epsilon, k)
-            if d is None:
-                x = np.exp(-1j * k * 2.0 * f.omega_beat * t_abs) * cur
-                y = cur.astype(complex)
-            else:
-                x = np.exp(-1j * k * (2.0 * f.omega_beat * t_abs - 0.5 * d)) * cur
-                y = np.exp(-0.5j * k * d) * cur
-            ck_rot = ck * np.exp(-1j * k * phi0)
-            c_k = _xcorr_circ_cplx(x, y, workers)
-            a_full = a_full + 2.0 * np.real(
-                ck_rot * np.exp(1j * k * f.omega_beat * tau) * c_k)
-        return _symmetrize_half(a_full / n, n)
-    # linear mode
-    pos0, neg0 = _xcorr_lin(cur, cur, n, n_lag, workers)
-    acc = c0 * 0.5 * (pos0 + neg0)
-    tau = np.arange(n_lag + 1) * dt
-    for k in ks:
+    else:
+        pos0, neg0 = _xcorr_lin(cur, cur, n, n_lag, workers)
+        acc = c0 * 0.5 * (pos0 + neg0)
+        tau = np.arange(n_lag + 1) * dt
+    for k in range(1, harmonics + 1, 2):
         ck = filter_coefficients(f.epsilon, k)
-        if d is None:
-            x = np.exp(-1j * k * 2.0 * f.omega_beat * t_abs) * cur
-            y = cur.astype(complex)
+        if ck == 0.0:
+            continue
+        x, y = _demod_pair(cur, np.exp(-1j * k * 2.0 * f.omega_beat * t_abs),
+                           None if d is None else 0.5 * k * d)
+        ck_rot = ck * np.exp(-1j * k * f.phase_offset)
+        rot = ck_rot * np.exp(1j * k * f.omega_beat * tau)
+        if mode == "circular":
+            acc = acc + 2.0 * np.real(rot * _xcorr(x, y, n, workers))
         else:
-            x = np.exp(-1j * k * (2.0 * f.omega_beat * t_abs - 0.5 * d)) * cur
-            y = np.exp(-0.5j * k * d) * cur
-        ck_rot = ck * np.exp(-1j * k * phi0)
-        pos, neg = _xcorr_lin(x, y, n, n_lag, workers)
-        term = (np.real(ck_rot * np.exp(1j * k * f.omega_beat * tau) * pos)
-                + np.real(ck_rot * np.exp(-1j * k * f.omega_beat * tau) * neg))
-        acc = acc + term
+            pos, neg = _xcorr_lin(x, y, n, n_lag, workers)
+            acc = acc + (np.real(rot * pos) + np.real(
+                ck_rot * np.exp(-1j * k * f.omega_beat * tau) * neg))
+    if mode == "circular":
+        return 0.5 * np.add(*_pairs(acc / n, n))
     return acc / n
 
 
@@ -194,7 +171,8 @@ def filtered_autocorr(trace: TimeTrace, f: FilterSpec,
     default: spectra built from truncated lags trade variance for bias, and
     the exact identities hold only on the full range). mode "circular" uses
     the seam-wrapped estimator, "linear" the zero-padded one normalized by
-    1/N (biased but seam-free).
+    1/N (biased but seam-free). harmonics is the highest odd filter
+    harmonic kept by tbar; terms beyond k = 1 add noise, not signal.
     """
     if variant not in ("t0", "tbar"):
         raise ValueError("variant must be 't0' or 'tbar'")
@@ -205,40 +183,33 @@ def filtered_autocorr(trace: TimeTrace, f: FilterSpec,
     if harmonics < 1:
         raise ValueError("harmonics must be >= 1")
     workers = resolve_workers(workers)
-    n = trace.n
-    dt = trace.dt
-    if max_lag is None:
-        n_lag = n // 2
-    else:
+    n, dt = trace.n, trace.dt
+    n_lag = n // 2
+    if max_lag is not None:
         if not (0 < max_lag < trace.duration):
             raise ValueError("max_lag must lie in (0, duration)")
-        n_lag = min(int(round(max_lag / dt)), n // 2)
+        n_lag = min(int(round(max_lag / dt)), n_lag)
     t_abs = np.arange(n) * dt + t_offset
     cur = trace.samples
     if variant == "t0":
         w = eval_filter(f, t_abs) * cur
         if mode == "circular":
-            full = _xcorr_circ_real(w, cur, n, workers) / n
-            half = _symmetrize_half(full, n)
+            full = _xcorr(w, cur, n, workers) / n
+            half = 0.5 * np.add(*_pairs(full, n))
         else:
             pos, neg = _xcorr_lin(w, cur, n, n_lag, workers)
             half = 0.5 * (pos + neg) / n
     else:
-        phi0 = f.phase_offset
-        half = _tbar_half(cur, dt, f, phi0, t_abs, n_lag, mode, harmonics,
-                          workers)
-    half = half[: n_lag + 1]
-    lags = np.arange(n_lag + 1) * dt
+        half = _tbar_half(cur, dt, f, t_abs, n_lag, mode, harmonics, workers)
     return Autocorrelation(
-        lags=lags, values=np.asarray(half, dtype=float), variant=variant,
+        lags=np.arange(n_lag + 1) * dt,
+        values=np.asarray(half[: n_lag + 1], dtype=float), variant=variant,
         filter=f, dt=dt, n_fft=n,
         meta={"mode": mode, "t_offset": float(t_offset),
               "harmonics": int(harmonics)})
 
 
 def _lag_window(name: str, n_keep: int) -> np.ndarray:
-    if name == "rect":
-        return np.ones(n_keep + 1)
     m = np.arange(n_keep + 1)
     if name == "hann":
         return 0.5 * (1.0 + np.cos(np.pi * m / n_keep))
@@ -251,24 +222,10 @@ def _spectrum_grid(n_fft: int, dt: float) -> np.ndarray:
     return TWO_PI * np.fft.fftshift(np.fft.fftfreq(n_fft, dt))
 
 
-def _spectra_from_halves(halves, n_fft, dt, window, max_lag, workers):
-    """Rows of symmetrized half-lag arrays -> two-sided PSD rows (shifted,
-    full n_fft grid regardless of lag truncation)."""
-    halves = np.atleast_2d(halves)
-    if max_lag is None:
-        n_keep = halves.shape[1] - 1
-    else:
-        n_keep = min(int(round(max_lag / dt)), halves.shape[1] - 1)
-        if n_keep < 1:
-            raise ValueError("max_lag below one sample")
-    rows = halves[:, : n_keep + 1]
-    if window != "rect":
-        rows = rows * _lag_window(window, n_keep)
-    full = np.zeros((rows.shape[0], n_fft))
-    full[:, : n_keep + 1] = rows
-    full[:, n_fft - n_keep:] = rows[:, 1:][:, ::-1]
-    spec = dt * np.real(sfft.fft(full, axis=1, workers=workers))
-    return np.fft.fftshift(spec, axes=1)
+def _mirror_index(n_fft: int) -> np.ndarray:
+    """Index into the non-negative bins 0..n_fft//2 for every bin of the
+    shifted two-sided grid, for streams even in w."""
+    return np.abs(np.arange(n_fft) - n_fft // 2)
 
 
 def psd_from_autocorr(ac: Autocorrelation, window: str = "rect",
@@ -281,8 +238,18 @@ def psd_from_autocorr(ac: Autocorrelation, window: str = "rect",
     comparable bin by bin.
     """
     workers = resolve_workers(workers)
-    row = _spectra_from_halves(ac.values, ac.n_fft, ac.dt, window, max_lag,
-                               workers)[0]
+    n_keep = ac.values.size - 1
+    if max_lag is not None:
+        n_keep = min(int(round(max_lag / ac.dt)), n_keep)
+        if n_keep < 1:
+            raise ValueError("max_lag below one sample")
+    half = ac.values[: n_keep + 1]
+    if window != "rect":
+        half = half * _lag_window(window, n_keep)
+    full = np.zeros(ac.n_fft)
+    full[: n_keep + 1] = half
+    full[ac.n_fft - n_keep:] = half[1:][::-1]
+    row = np.fft.fftshift(ac.dt * np.real(sfft.fft(full, workers=workers)))
     meta = dict(ac.meta)
     meta.update({"kind": "rhet", "variant": ac.variant,
                  "epsilon": ac.filter.epsilon, "window": window,
@@ -291,15 +258,118 @@ def psd_from_autocorr(ac: Autocorrelation, window: str = "rect",
                     meta=meta)
 
 
-def _segment_views(trace: TimeTrace, segments: int):
+def _segments(trace: TimeTrace, segments: int):
+    """Check `segments` once, then return the segment length and an
+    iterator over (absolute start time, samples) of each segment; the
+    trailing trace.n % segments samples are dropped."""
     if segments < 1:
         raise ValueError("segments must be >= 1")
     n_seg = trace.n // segments
     if n_seg < 16:
         raise ValueError("segments too short")
-    for s in range(segments):
-        sl = slice(s * n_seg, (s + 1) * n_seg)
-        yield s * n_seg * trace.dt, trace.samples[sl]
+    views = ((s * n_seg * trace.dt, trace.samples[s * n_seg:(s + 1) * n_seg])
+             for s in range(segments))
+    return n_seg, views
+
+
+class _Moments:
+    """Running mean and co-moment (Welford) of a stack of K real rows,
+    updated in call order so the result is reproducible to the bit."""
+
+    count, mean, m2 = 0, None, 0.0
+
+    def add(self, rows):
+        self.count += 1
+        if self.count == 1:
+            self.mean = np.array(rows, dtype=float)
+            return
+        d_old = rows - self.mean
+        self.mean += d_old / self.count
+        self.m2 += d_old[:, None, :] * (rows - self.mean)[None, :, :]
+
+    def variance(self, a):
+        """Variance of the mean of sum_k a_k row_k (for complex a the total,
+        real plus imaginary, variance); None for one row."""
+        if self.count < 2:
+            return None
+        k = range(len(a))
+        q = np.real(sum(np.conj(a[i]) * a[j] * self.m2[i, j]
+                        for i in k for j in k))
+        return np.maximum(q, 0.0) / (self.count * (self.count - 1))
+
+
+def _combine(a, mean):
+    """Rows sum_k a[:, k] mean[k], one per row of a; elementwise in a fixed
+    order, so a map row and a single spectrum at the same theta agree to
+    the bit."""
+    rows = a[:, :1] * mean[0]
+    for k in range(1, a.shape[1]):
+        rows += a[:, k:k + 1] * mean[k]
+    return rows
+
+
+def _two_sided(moments, a, n_fft):
+    """Mean and variance of a . rows, mirrored from the non-negative bins
+    onto the shifted two-sided grid."""
+    mirror = _mirror_index(n_fft)
+    variance = moments.variance(a[0])
+    return (_combine(a, moments.mean)[0][mirror],
+            None if variance is None else variance[mirror])
+
+
+def _quadrature_weights(epsilon, thetas) -> np.ndarray:
+    """(n_theta, 3) weights of (P0, Re G, Im G): c0, c1 cos 2theta,
+    c1 sin 2theta."""
+    phi0 = 2.0 * np.asarray(thetas, dtype=float)
+    c1 = filter_coefficients(epsilon, 1)
+    return np.stack((np.full(phi0.shape, filter_coefficients(epsilon, 0)),
+                     c1 * np.cos(phi0), c1 * np.sin(phi0)), axis=1)
+
+
+def _drift_offset(trace: TimeTrace,
+                  phase_correction: Optional[PhaseSeries]):
+    """Filter offset d(t) = -2 (theta_hat(t) - theta_nominal) of a measured
+    LO phase series. Anchoring at the nominal phase, not the first series
+    sample, keeps theta independent of where the series starts."""
+    if phase_correction is None:
+        return None
+    return PhaseSeries(
+        times=phase_correction.times,
+        theta=-2.0 * (phase_correction.theta - trace.theta_nominal))
+
+
+def _stream_basis(trace: TimeTrace, segments: int, variant: str,
+                  phase_correction: Optional[PhaseSeries],
+                  workers) -> _Moments:
+    """Moments of the (P0, Re G, Im G) rows over the segments of a trace,
+    on the non-negative bins; see the module docstring. Memoised on the
+    trace, keyed on the segment count, the variant, the phase series object
+    and the worker count (results agree to the bit across worker counts;
+    keying on it keeps that checkable on one trace)."""
+    key = (segments, variant, phase_correction, workers)
+    if key in trace._bases:
+        return trace._bases[key]
+    n, views = _segments(trace, segments)
+    dt, om = trace.dt, trace.omega_beat
+    dyn = _drift_offset(trace, phase_correction)
+    local = np.exp(-2j * om * (np.arange(n) * dt))
+    lag_phase = np.exp(1j * om * _signed_lags(n, dt))
+    moments = _Moments()
+    for t_off, seg in views:
+        half_d = (None if dyn is None
+                  else 0.5 * dyn.sample_at(np.arange(n) * dt + t_off))
+        x, y = _demod_pair(seg, local * np.exp(-2j * om * t_off), half_d)
+        fy = sfft.fft(y, workers=workers)
+        f_i = (fy[:n // 2 + 1] if dyn is None
+               else sfft.rfft(seg, workers=workers))
+        prod = np.conj(sfft.fft(x, workers=workers)) * fy
+        if variant == "tbar":
+            prod = sfft.fft(sfft.ifft(prod, workers=workers) * lag_phase,
+                            workers=workers)
+        g = (dt / n) * np.add(*_pairs(prod, n))
+        moments.add(np.stack(((dt / n) * np.abs(f_i) ** 2, g.real, g.imag)))
+    trace._bases[key] = moments
+    return moments
 
 
 def standard_psd(trace: TimeTrace, segments: int = 1, window: str = "boxcar",
@@ -310,25 +380,16 @@ def standard_psd(trace: TimeTrace, segments: int = 1, window: str = "boxcar",
     variance of the mean (ddof=1, divided by the segment count).
     """
     workers = resolve_workers(workers)
-    n_seg = trace.n // segments
-    if window == "boxcar":
-        w = None
-        norm = 1.0
-    elif window == "hann":
-        w = np.hanning(n_seg)
-        norm = float(np.sum(w * w) / n_seg)
-    else:
+    n_seg, views = _segments(trace, segments)
+    if window not in ("boxcar", "hann"):
         raise ValueError("window must be 'boxcar' or 'hann'")
-    mat = trace.samples[: segments * n_seg].reshape(segments, n_seg)
-    if w is not None:
-        mat = mat * w
-    rows = np.abs(sfft.fft(mat, axis=1, workers=workers)) ** 2
-    rows *= trace.dt / (n_seg * norm)
-    rows = np.fft.fftshift(rows, axes=1)
-    values = np.mean(rows, axis=0)
-    variance = None
-    if segments > 1:
-        variance = np.var(rows, axis=0, ddof=1) / segments
+    w = np.hanning(n_seg) if window == "hann" else np.ones(n_seg)
+    scale = trace.dt / float(np.sum(w * w))
+    moments = _Moments()
+    for _, seg in views:
+        spec = sfft.rfft(w * seg, workers=workers)
+        moments.add(scale * np.abs(spec[None]) ** 2)
+    values, variance = _two_sided(moments, np.ones((1, 1)), n_seg)
     return Spectrum(freqs=_spectrum_grid(n_seg, trace.dt), values=values,
                     variance=variance,
                     meta={"kind": "welch", "segments": segments,
@@ -339,7 +400,6 @@ def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
                   variant: str = "tbar", segments: int = 1,
                   max_lag: Optional[float] = None, window: str = "rect",
                   phase_correction: Optional[PhaseSeries] = None,
-                  mode: str = "circular", harmonics: int = 1,
                   workers=None) -> Spectrum:
     """Filtered spectrum of a trace: segment-averaged PSD of the filtered
     autocorrelation with filter phase offset phi0 = 2*theta.
@@ -347,47 +407,50 @@ def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
     phase_correction, when given, is the measured LO phase series theta_hat
     (from rhet.lockin.demodulate); the filter then tracks the drift via the
     dynamic offset d(t) = -2 (theta_hat(t) - theta_nominal), which keeps
-    the correlation term coherent over the whole record. Anchoring at the
-    trace's nominal phase (not the first series sample) keeps theta's
-    meaning independent of where the series happens to start.
+    the correlation term coherent over the whole record.
 
     The filter phase is global: segment s at absolute offset s*N_seg*dt sees
     the same F(t) as an unsegmented run, so segment averages converge to the
-    same expectation.
+    same expectation. The module docstring gives the three routes.
     """
+    if variant not in ("t0", "tbar"):
+        raise ValueError("variant must be 't0' or 'tbar'")
     workers = resolve_workers(workers)
-    dyn = None
-    if phase_correction is not None:
-        dyn = PhaseSeries(
-            times=phase_correction.times,
-            theta=-2.0 * (phase_correction.theta - trace.theta_nominal))
     fspec = FilterSpec(epsilon=epsilon, omega_beat=trace.omega_beat,
-                       phase_offset=2.0 * theta, dynamic_offset=dyn)
-    halves = []
-    n_fft = trace.n // segments
-    for t_off, seg in _segment_views(trace, segments):
-        seg_trace = TimeTrace(samples=seg, dt=trace.dt,
-                              omega_beat=trace.omega_beat,
-                              theta_nominal=trace.theta_nominal)
-        ac = filtered_autocorr(seg_trace, fspec, max_lag=max_lag,
-                               variant=variant, mode=mode, t_offset=t_off,
-                               harmonics=harmonics, workers=workers)
-        halves.append(ac.values)
-    rows = _spectra_from_halves(np.array(halves), n_fft, trace.dt, window,
-                                max_lag, workers)
-    values = np.mean(rows, axis=0)
-    variance = None
-    if segments > 1:
-        variance = np.var(rows, axis=0, ddof=1) / segments
+                       phase_offset=2.0 * theta,
+                       dynamic_offset=_drift_offset(trace, phase_correction))
+    n_fft, views = _segments(trace, segments)
+    dt = trace.dt
+    moments = _Moments()
+    if max_lag is not None or window != "rect":
+        for t_off, seg in views:
+            ac = filtered_autocorr(replace(trace, samples=seg), fspec,
+                                   max_lag=max_lag, variant=variant,
+                                   t_offset=t_off, workers=workers)
+            moments.add(psd_from_autocorr(ac, window, max_lag,
+                                          workers).values[None])
+        values, variance = moments.mean[0], moments.variance((1.0,))
+    else:
+        a = np.ones((1, 1))
+        if variant == "tbar" and filter_coefficients(epsilon, 1) != 0.0:
+            moments = _stream_basis(trace, segments, variant,
+                                    phase_correction, workers)
+            a = _quadrature_weights(epsilon, [theta])
+        else:
+            # t0, or eps = +1: both variants are the plain periodogram there
+            for t_off, seg in views:
+                t_abs = np.arange(n_fft) * dt + t_off
+                fw = sfft.rfft(eval_filter(fspec, t_abs) * seg,
+                               workers=workers)
+                moments.add((dt / n_fft) * np.real(
+                    np.conj(fw) * sfft.rfft(seg, workers=workers))[None])
+        values, variance = _two_sided(moments, a, n_fft)
     return Spectrum(
-        freqs=_spectrum_grid(n_fft, trace.dt), values=values,
-        variance=variance,
+        freqs=_spectrum_grid(n_fft, dt), values=values, variance=variance,
         meta={"kind": "rhet", "variant": variant, "epsilon": float(epsilon),
               "theta": float(theta), "segments": segments, "window": window,
-              "max_lag": max_lag, "mode": mode, "harmonics": harmonics,
-              "corrected": phase_correction is not None,
-              "omega_beat": trace.omega_beat, "n_fft": n_fft,
-              "dt": trace.dt})
+              "max_lag": max_lag, "corrected": phase_correction is not None,
+              "omega_beat": trace.omega_beat, "n_fft": n_fft, "dt": dt})
 
 
 def complex_corr_spectrum(trace: TimeTrace, omega_beat: Optional[float] = None,
@@ -398,26 +461,22 @@ def complex_corr_spectrum(trace: TimeTrace, omega_beat: Optional[float] = None,
 
     For a trace recorded at LO phase theta0, E[C(w)] = e^{-2i theta0}
     s_aa(w): the anomalous field correlation up to the fixed LO rotation.
-    Returned values are complex; variance is the total (real plus imaginary)
-    across-segment variance of the mean.
+    The up-rotated current is the conjugate of the down-rotated one, so
+    C(w) = (dt/N) conj(V(w) V(-w)) with V = FFT[i e^{-i Om t}]: even in w,
+    from one transform per segment. Returned values are complex; variance
+    is the total (real plus imaginary) across-segment variance of the mean.
     """
     workers = resolve_workers(workers)
     om = trace.omega_beat if omega_beat is None else float(omega_beat)
-    n_seg = trace.n // segments
-    rows = []
-    for t_off, seg in _segment_views(trace, segments):
-        t_abs = np.arange(seg.size) * trace.dt + t_off
-        u = seg * np.exp(1j * om * t_abs)
-        v = seg * np.exp(-1j * om * t_abs)
-        c = (trace.dt / seg.size) * np.conj(sfft.fft(v, workers=workers)) \
-            * sfft.fft(u, workers=workers)
-        rows.append(np.fft.fftshift(c))
-    rows = np.array(rows)
-    values = np.mean(rows, axis=0)
-    variance = None
-    if segments > 1:
-        variance = (np.var(rows.real, axis=0, ddof=1)
-                    + np.var(rows.imag, axis=0, ddof=1)) / segments
+    n_seg, views = _segments(trace, segments)
+    local = np.exp(-1j * om * (np.arange(n_seg) * trace.dt))
+    moments = _Moments()
+    for t_off, seg in views:
+        fv = sfft.fft(seg * (local * np.exp(-1j * om * t_off)),
+                      workers=workers)
+        c = (trace.dt / n_seg) * np.conj(np.multiply(*_pairs(fv, n_seg)))
+        moments.add(np.stack((c.real, c.imag)))
+    values, variance = _two_sided(moments, np.array([[1.0, 1j]]), n_seg)
     return Spectrum(freqs=_spectrum_grid(n_seg, trace.dt), values=values,
                     variance=variance,
                     meta={"kind": "complex_corr", "segments": segments,

@@ -78,12 +78,16 @@ def read_trace(path) -> TimeTrace:
             raise TraceFormatError(f"{path}: bad magic {magic!r}")
         if version != TRACE_VERSION:
             raise TraceFormatError(f"{path}: unsupported trace version {version}")
-        payload = fh.read()
-    expected = 8 * n
-    if len(payload) != expected:
+        # size the payload before allocating, so a corrupt count cannot
+        # ask for more memory than the file holds; read it in place
+        expected = 8 * n
+        held = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if held == expected:
+            samples = np.empty(n, dtype="<f8")
+            held = fh.readinto(memoryview(samples).cast("B"))
+    if held != expected:
         raise TraceFormatError(
-            f"{path}: payload holds {len(payload)} bytes, header promises {expected}")
-    samples = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+            f"{path}: payload holds {held} bytes, header promises {expected}")
     try:
         return TimeTrace(samples=samples, dt=dt, omega_beat=omega_beat,
                          theta_nominal=theta_nominal,

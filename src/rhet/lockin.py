@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.signal import butter, filtfilt
 
 from .core import TWO_PI, PhaseSeries, Spectrum, TimeTrace
 from .estimator import rhet_spectrum
@@ -36,6 +35,9 @@ def demodulate(trace: TimeTrace, omega_beat: Optional[float] = None,
     Raises ValueError("beat note not detected") when the beat-band envelope
     does not exceed a control band (offset by 5 kHz) by 10x in RMS.
     """
+    # scipy.signal costs about a second to import; only the lock-in needs it
+    from scipy.signal import butter, filtfilt
+
     om = trace.omega_beat if omega_beat is None else float(omega_beat)
     fs = 1.0 / trace.dt
     if not (0 < bandwidth_hz < om / TWO_PI / 4.0):

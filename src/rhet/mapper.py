@@ -1,29 +1,26 @@
 """Filter-phase maps: the filtered spectrum as a function of theta.
 
-The slow ("exact") path reruns the estimator at every theta. The fast path
-exploits that theta enters the spectrum only through the scalar phase
-e^{-i 2 theta} on one complex row:
+theta enters only through e^{-i 2 theta} on one complex row of the trace's
+memoised stream basis (see rhet.estimator):
 
     S(theta, w) = c0 * P0(w) + c1 * Re[e^{-i 2 theta} G(w)]
 
-P0 and G are theta-independent and come from the same demodulated streams
-the estimator uses, so for the tbar variant the fast path reproduces the
-exact path to floating-point rounding; for t0 it keeps the filter's
-fundamental only (the exact path samples the true square wave), which
-agrees to a couple percent on band-limited spectra. Rows are assembled with
-one (n_theta x 2) @ (2 x n_freq) product, fixed-order and bit-identical for
-any worker count.
+The fast path assembles every row from that basis elementwise, in a fixed
+order, bit-identical for any worker count. The exact path calls
+rhet_spectrum per theta: for tbar it reads the same basis, so the two
+agree to the bit; for t0 it samples the true square wave while the fast
+path keeps the fundamental only, a couple percent on band-limited spectra.
 """
 from __future__ import annotations
 
 from typing import Optional
 
 import numpy as np
-from scipy import fft as sfft
 
-from .analytic import filter_coefficients
 from .core import PhaseSeries, Spectrum, ThetaMap, TimeTrace
-from .estimator import _segment_views, _spectrum_grid, rhet_spectrum
+from .estimator import (_combine, _mirror_index, _quadrature_weights,
+                        _segments, _spectrum_grid, _stream_basis,
+                        rhet_spectrum)
 from .parallel import resolve_workers
 
 
@@ -45,57 +42,27 @@ def _band_mask(freqs: np.ndarray, band) -> np.ndarray:
     return m
 
 
+def _map_grid(trace: TimeTrace, segments: int, band):
+    """Segment length, in-band frequencies and band mask of a map."""
+    n_seg, _ = _segments(trace, segments)
+    freqs = _spectrum_grid(n_seg, trace.dt)
+    mask = _band_mask(freqs, band)
+    return n_seg, freqs[mask], mask
+
+
 def theta_map_exact(trace: TimeTrace, epsilon: float, n_theta: int = 800,
                     variant: str = "tbar", segments: int = 1,
                     band=None, phase_correction: Optional[PhaseSeries] = None,
                     workers=None) -> ThetaMap:
-    """Reference map: one full estimator run per theta row."""
+    """Reference map: one rhet_spectrum call per theta row."""
     thetas = _theta_grid(n_theta)
-    rows = []
-    freqs = None
-    mask = None
-    for th in thetas:
-        spec = rhet_spectrum(trace, epsilon, th, variant=variant,
-                             segments=segments,
-                             phase_correction=phase_correction,
-                             workers=workers)
-        if freqs is None:
-            mask = _band_mask(spec.freqs, band)
-            freqs = spec.freqs[mask]
-        rows.append(spec.values[mask])
+    _, freqs, mask = _map_grid(trace, segments, band)
+    rows = [rhet_spectrum(trace, epsilon, th, variant=variant,
+                          segments=segments, phase_correction=phase_correction,
+                          workers=workers).values[mask] for th in thetas]
     return ThetaMap(thetas=thetas, freqs=freqs, spectra=np.array(rows),
                     meta={"variant": variant, "epsilon": float(epsilon),
                           "segments": segments, "path": "exact"})
-
-
-def _segment_streams(seg, dt, omega_beat, t_off, variant, dyn, workers):
-    """theta-independent rows for one segment: (P0, G) on the shifted grid.
-
-    P0 is the plain Welch row; G is the complex correlation row such that
-    the filtered spectrum is c0*P0 + c1*Re[e^{-i phi0} G].
-    """
-    n = seg.size
-    t_abs = np.arange(n) * dt + t_off
-    f_i = sfft.fft(seg, workers=workers)
-    p0 = (dt / n) * np.abs(f_i) ** 2
-    if dyn is None:
-        x = np.exp(-2j * omega_beat * t_abs) * seg
-        y = seg.astype(complex)
-    else:
-        dv = dyn.sample_at(t_abs)
-        x = np.exp(-1j * (2.0 * omega_beat * t_abs - 0.5 * dv)) * seg
-        y = np.exp(-0.5j * dv) * seg
-    c1s = sfft.ifft(np.conj(sfft.fft(x, workers=workers))
-                    * sfft.fft(y, workers=workers), workers=workers) / n
-    if variant == "tbar":
-        tau = np.where(np.arange(n) <= n // 2,
-                       np.arange(n), np.arange(n) - n) * dt
-        w = np.exp(1j * omega_beat * tau) * c1s
-    else:
-        w = c1s
-    d = sfft.fft(w, workers=workers)
-    g = dt * (d + d[(-np.arange(n)) % n])
-    return np.fft.fftshift(p0), np.fft.fftshift(g)
 
 
 def theta_map_fast(trace: TimeTrace, epsilon: float, n_theta: int = 800,
@@ -107,38 +74,11 @@ def theta_map_fast(trace: TimeTrace, epsilon: float, n_theta: int = 800,
         raise ValueError("variant must be 't0' or 'tbar'")
     workers = resolve_workers(workers)
     thetas = _theta_grid(n_theta)
-    dyn = None
-    if phase_correction is not None:
-        # same anchor as rhet_spectrum: nominal phase, not the series start
-        dyn = PhaseSeries(
-            times=phase_correction.times,
-            theta=-2.0 * (phase_correction.theta - trace.theta_nominal))
-    n_seg = trace.n // segments
-    freqs = _spectrum_grid(n_seg, trace.dt)
-    mask = _band_mask(freqs, band)
-    p0_acc = None
-    g_acc = None
-    for t_off, seg in _segment_views(trace, segments):
-        p0, g = _segment_streams(seg, trace.dt, trace.omega_beat, t_off,
-                                 variant, dyn, workers)
-        p0 = p0[mask]
-        g = g[mask]
-        if p0_acc is None:
-            p0_acc, g_acc = p0, g
-        else:
-            p0_acc = p0_acc + p0
-            g_acc = g_acc + g
-    p0_acc = p0_acc / segments
-    g_acc = g_acc / segments
-    c0 = filter_coefficients(epsilon, 0)
-    c1 = filter_coefficients(epsilon, 1)
-    phi0 = 2.0 * thetas
-    # Re[e^{-i phi0} G] = cos(phi0) Re G + sin(phi0) Im G, as one matmul
-    coeff = np.stack((np.cos(phi0), np.sin(phi0)), axis=1) * c1
-    parts = np.stack((g_acc.real, g_acc.imag), axis=0)
-    rows = coeff @ parts
-    rows += c0 * p0_acc[None, :]
-    return ThetaMap(thetas=thetas, freqs=freqs[mask], spectra=rows,
+    n_seg, freqs, mask = _map_grid(trace, segments, band)
+    basis = _stream_basis(trace, segments, variant, phase_correction, workers)
+    rows = _combine(_quadrature_weights(epsilon, thetas),
+                    basis.mean[:, _mirror_index(n_seg)[mask]])
+    return ThetaMap(thetas=thetas, freqs=freqs, spectra=rows,
                     meta={"variant": variant, "epsilon": float(epsilon),
                           "segments": segments, "path": "fast"})
 

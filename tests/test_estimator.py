@@ -233,6 +233,64 @@ def test_spectrum_pipeline_matches_autocorr_route(noise_trace):
         1e-12 * np.max(np.abs(direct.values))
 
 
+@pytest.mark.parametrize("variant", ["tbar", "t0"])
+def test_spectrum_matches_per_segment_autocorr_rows(noise_trace, variant):
+    # values and variance against the lag route, one segment at a time
+    seg_n = noise_trace.n // 4
+    f = FilterSpec(epsilon=-0.4, omega_beat=OMEGA, phase_offset=2 * 0.6)
+    rows = []
+    for s in range(4):
+        seg = TimeTrace(samples=noise_trace.samples[s * seg_n:(s + 1) * seg_n],
+                        dt=noise_trace.dt, omega_beat=OMEGA)
+        ac = filtered_autocorr(seg, f, variant=variant,
+                               t_offset=s * seg_n * noise_trace.dt)
+        rows.append(psd_from_autocorr(ac).values)
+    rows = np.array(rows)
+    spec = rhet_spectrum(noise_trace, -0.4, 0.6, variant=variant, segments=4)
+    want_var = np.var(rows, axis=0, ddof=1) / 4
+    assert np.max(np.abs(spec.values - rows.mean(axis=0))) < \
+        1e-12 * np.max(np.abs(spec.values))
+    assert np.max(np.abs(spec.variance - want_var)) < 1e-12 * np.max(want_var)
+
+
+def _fresh(trace):
+    return TimeTrace(samples=trace.samples.copy(), dt=trace.dt,
+                     omega_beat=trace.omega_beat,
+                     theta_nominal=trace.theta_nominal)
+
+
+def test_memoised_basis_is_bit_identical_to_a_fresh_trace(short_trace):
+    trace = _fresh(short_trace)
+    for eps, th in ((-1.0, 0.0), (0.3, 1.1), (1.0, 0.2)):
+        rhet_spectrum(trace, eps, th, segments=4)
+    again = rhet_spectrum(trace, -0.5, 0.4, segments=4)
+    fresh = rhet_spectrum(_fresh(short_trace), -0.5, 0.4, segments=4)
+    assert np.array_equal(again.values, fresh.values)
+    assert np.array_equal(again.variance, fresh.variance)
+
+
+def test_memo_keys_on_segments_and_phase_series(short_trace):
+    trace = _fresh(short_trace)
+    ts = np.linspace(0.0, trace.duration, 64)
+    series = [PhaseSeries(times=ts, theta=a * np.sin(12.0 * ts))
+              for a in (0.1, 0.4)]
+    calls = [dict(segments=4), dict(segments=8),
+             dict(segments=4, phase_correction=series[0]),
+             dict(segments=4, phase_correction=series[1])]
+    for kw in calls:
+        memo = rhet_spectrum(trace, -1.0, 0.3, **kw)
+        fresh = rhet_spectrum(_fresh(short_trace), -1.0, 0.3, **kw)
+        assert np.array_equal(memo.values, fresh.values)
+
+
+def test_trace_samples_and_phase_series_are_read_only(short_trace):
+    with pytest.raises(ValueError):
+        short_trace.samples[0] = 1.0
+    series = PhaseSeries(times=np.array([0.0, 1.0]), theta=np.zeros(2))
+    with pytest.raises(ValueError):
+        series.theta[0] = 1.0
+
+
 def test_max_lag_and_windows(noise_trace):
     f = FilterSpec(epsilon=0.0, omega_beat=OMEGA)
     n_lag = 100

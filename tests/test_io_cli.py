@@ -304,6 +304,19 @@ def test_cli_spectrum_epsilon_one_matches_welch(cli_ws):
     assert np.max(np.abs(sa.values - sb.values)) < 1e-10 * np.max(sb.values)
 
 
+@pytest.mark.parametrize("segments", ["0", "-1"])
+@pytest.mark.parametrize("cmd", [["spectrum", "--mode", "welch"],
+                                 ["spectrum", "--mode", "rhet"],
+                                 ["spectrum", "--mode", "cross"],
+                                 ["map"]])
+def test_cli_rejects_segment_counts_below_one(cli_ws, capsys, cmd, segments):
+    rc = main(cmd + ["--in", str(cli_ws / "trace.rht"),
+                     "--out", str(cli_ws / "bad_segments.csv"),
+                     "--segments", segments])
+    assert rc == 2
+    assert "segments must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_spectrum_missing_input_is_io_error(tmp_path):
     rc = main(["spectrum", "--in", str(tmp_path / "absent.rht"),
                "--out", str(tmp_path / "o.csv")])

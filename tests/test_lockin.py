@@ -1,6 +1,8 @@
 """Software lock-in: phase recovery on pilot-carrying traces and the
 guard rails around it."""
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,13 @@ from rhet import (PhaseDriftSpec, demodulate, phase_drift,
                   synth_gaussian_trace)
 
 PILOT = 2500.0  # ~90x detection margin over the thermal envelope noise
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    code = "import sys, rhet.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_constant_phase_recovery(thermal_cfg):
