@@ -35,6 +35,8 @@ max_lag or a lag window goes through filtered_autocorr, also the
 independent reference the engine is tested against; it stores lags 0..n/2,
 circularly-even symmetrized. All spectra are two-sided on ascending
 angular-frequency grids, S = dt * Re FFT(A), so sum(S) dw = 2 pi A(0).
+Functions that transform import scipy.fft themselves, so a process that
+runs none (rhet analytic, rhet compare) starts without it.
 """
 from __future__ import annotations
 
@@ -42,13 +44,10 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy import fft as sfft
 
 from .analytic import filter_coefficients
 from .core import TWO_PI, FilterSpec, PhaseSeries, Spectrum, TimeTrace
 from .parallel import resolve_workers
-
-_WINDOWS = ("rect", "hann", "bartlett")
 
 
 @dataclass(eq=False)
@@ -87,6 +86,7 @@ def eval_filter(f: FilterSpec, t) -> np.ndarray:
 def _xcorr(x, y, nf, workers):
     """Circular cross-correlation sum_n conj(x_n) y_{n+m} on nf points,
     zero-padding x and y when nf exceeds their length."""
+    from scipy import fft as sfft
     if np.isrealobj(x) and np.isrealobj(y):
         fx = sfft.rfft(x, nf, workers=workers)
         return sfft.irfft(np.conj(fx) * sfft.rfft(y, nf, workers=workers),
@@ -102,6 +102,7 @@ def _xcorr_lin(x, y, n, n_lag, workers):
     Returns (pos, neg): pos[m] = sum_n conj(x_n) y_{n+m}, m = 0..n_lag, and
     neg[m] the same at lag -m.
     """
+    from scipy import fft as sfft
     nf = sfft.next_fast_len(n + n_lag + 1)
     raw = _xcorr(x, y, nf, workers)
     return raw[: n_lag + 1], np.concatenate((raw[:1], raw[nf - n_lag:][::-1]))
@@ -215,7 +216,7 @@ def _lag_window(name: str, n_keep: int) -> np.ndarray:
         return 0.5 * (1.0 + np.cos(np.pi * m / n_keep))
     if name == "bartlett":
         return 1.0 - m / n_keep
-    raise ValueError(f"unknown window {name!r}; choose from {_WINDOWS}")
+    raise ValueError(f"unknown window {name!r}; choose rect, hann or bartlett")
 
 
 def _spectrum_grid(n_fft: int, dt: float) -> np.ndarray:
@@ -237,6 +238,7 @@ def psd_from_autocorr(ac: Autocorrelation, window: str = "rect",
     regardless of truncation, so spectra at different max_lag stay
     comparable bin by bin.
     """
+    from scipy import fft as sfft
     workers = resolve_workers(workers)
     n_keep = ac.values.size - 1
     if max_lag is not None:
@@ -250,12 +252,10 @@ def psd_from_autocorr(ac: Autocorrelation, window: str = "rect",
     full[: n_keep + 1] = half
     full[ac.n_fft - n_keep:] = half[1:][::-1]
     row = np.fft.fftshift(ac.dt * np.real(sfft.fft(full, workers=workers)))
-    meta = dict(ac.meta)
-    meta.update({"kind": "rhet", "variant": ac.variant,
-                 "epsilon": ac.filter.epsilon, "window": window,
-                 "max_lag": max_lag, "n_fft": ac.n_fft, "dt": ac.dt})
     return Spectrum(freqs=_spectrum_grid(ac.n_fft, ac.dt), values=row,
-                    meta=meta)
+                    meta={**ac.meta, "kind": "rhet", "variant": ac.variant,
+                          "epsilon": ac.filter.epsilon, "window": window,
+                          "max_lag": max_lag, "n_fft": ac.n_fft, "dt": ac.dt})
 
 
 def _segments(trace: TimeTrace, segments: int):
@@ -346,6 +346,7 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
     trace, keyed on the segment count, the variant, the phase series object
     and the worker count (results agree to the bit across worker counts;
     keying on it keeps that checkable on one trace)."""
+    from scipy import fft as sfft
     key = (segments, variant, phase_correction, workers)
     if key in trace._bases:
         return trace._bases[key]
@@ -379,6 +380,7 @@ def standard_psd(trace: TimeTrace, segments: int = 1, window: str = "boxcar",
     window "boxcar" or "hann". Variance is the across-segment sample
     variance of the mean (ddof=1, divided by the segment count).
     """
+    from scipy import fft as sfft
     workers = resolve_workers(workers)
     n_seg, views = _segments(trace, segments)
     if window not in ("boxcar", "hann"):
@@ -413,6 +415,7 @@ def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
     the same F(t) as an unsegmented run, so segment averages converge to the
     same expectation. The module docstring gives the three routes.
     """
+    from scipy import fft as sfft
     if variant not in ("t0", "tbar"):
         raise ValueError("variant must be 't0' or 'tbar'")
     workers = resolve_workers(workers)
@@ -466,6 +469,7 @@ def complex_corr_spectrum(trace: TimeTrace, omega_beat: Optional[float] = None,
     from one transform per segment. Returned values are complex; variance
     is the total (real plus imaginary) across-segment variance of the mean.
     """
+    from scipy import fft as sfft
     workers = resolve_workers(workers)
     om = trace.omega_beat if omega_beat is None else float(omega_beat)
     n_seg, views = _segments(trace, segments)

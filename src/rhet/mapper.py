@@ -94,11 +94,12 @@ def normalize_map(m: ThetaMap, reference_peak: float) -> ThetaMap:
                     meta=dict(m.meta))
 
 
-def _window_bins(freqs, center, halfwidth):
-    mask = np.abs(freqs - center) <= halfwidth
+def _peak_window(spectrum: Spectrum, center, halfwidth):
+    mask = np.abs(spectrum.freqs - center) <= halfwidth
     if np.count_nonzero(mask) < 3:
         raise ValueError("peak window holds fewer than 3 bins")
-    return mask
+    return (spectrum.freqs[mask] - center,
+            np.real(spectrum.values[mask]).astype(float))
 
 
 def _quad_vertex(x, v):
@@ -123,9 +124,7 @@ def peak_amplitude(spectrum: Spectrum, center: float, halfwidth: float,
     halfwidth and baseline_halfwidth, default 4x) is removed first, which
     turns "height" into "height above the local background".
     """
-    mask = _window_bins(spectrum.freqs, center, halfwidth)
-    x = spectrum.freqs[mask] - center
-    v = np.real(spectrum.values[mask]).astype(float)
+    x, v = _peak_window(spectrum, center, halfwidth)
     base = 0.0
     if subtract_baseline:
         bhw = 4.0 * halfwidth if baseline_halfwidth is None else baseline_halfwidth
@@ -145,10 +144,7 @@ def peak_location(spectrum: Spectrum, center: float, halfwidth: float) -> float:
     negative-going correlation peaks resolve to the same location as their
     positive mirror.
     """
-    mask = _window_bins(spectrum.freqs, center, halfwidth)
-    x = spectrum.freqs[mask] - center
-    v = np.real(spectrum.values[mask]).astype(float)
-    xs, _ = _quad_vertex(x, v)
+    xs, _ = _quad_vertex(*_peak_window(spectrum, center, halfwidth))
     return center + xs
 
 

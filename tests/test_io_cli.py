@@ -182,6 +182,60 @@ def test_spectrum_reader_rejects_foreign_files(tmp_path):
     p2.write_text("# rhet spectrum v1\nfreq_hz,value\n")
     with pytest.raises(TraceFormatError, match="no data"):
         read_spectrum(p2)
+    p3 = tmp_path / "ragged.csv"
+    p3.write_text("# rhet spectrum v1\nfreq_hz,value\n1,2\n3,4,5\n6\n")
+    with pytest.raises(TraceFormatError, match="ragged"):
+        read_spectrum(p3)
+
+
+def test_spectrum_reader_reads_empty_fields_as_nan(tmp_path):
+    p = tmp_path / "gap.csv"
+    p.write_text("# rhet spectrum v1\n# kind = 'x'\nfreq_hz,value,stderr\n"
+                 "1,2,\n# a comment between rows\n3,,0.5\n")
+    back = read_spectrum(p)
+    assert back.meta["kind"] == "x"
+    assert np.array_equal(back.freqs, TWO_PI * np.array([1.0, 3.0]))
+    assert np.array_equal(back.values, [2.0, np.nan], equal_nan=True)
+    assert np.array_equal(back.variance, [np.nan, 0.25], equal_nan=True)
+
+
+def _awkward_values(n, seed):
+    """n values over the whole float64 range, led by the special ones."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    v[:7] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0, 0.1]
+    return v
+
+
+def test_csv_writers_match_per_field_format(tmp_path):
+    # rows are formatted a block at a time; the bytes must be those of one
+    # _fmt call per field, on both sides of a block boundary
+    from rhet.io import _BLOCK_VALUES, _fmt
+    n = _BLOCK_VALUES // 3 + 7
+    f = TWO_PI * np.linspace(-1e6, 1e6, n)
+    v = _awkward_values(n, 5)
+    p = tmp_path / "s.csv"
+    write_spectrum(p, Spectrum(freqs=f, values=v, variance=np.abs(v)))
+    rows = p.read_text().splitlines()[2:]
+    assert rows == [",".join(_fmt(x) for x in (f[k] / TWO_PI, v[k],
+                                                np.sqrt(abs(v[k]))))
+                    for k in range(n)]
+    z = np.empty(n, dtype=complex)
+    z.real, z.imag = v, v[::-1]
+    write_spectrum(p, Spectrum(freqs=f, values=z))
+    rows = p.read_text().splitlines()[2:]
+    assert rows == [",".join(_fmt(x) for x in (f[k] / TWO_PI, z[k].real,
+                                                z[k].imag))
+                    for k in range(n)]
+    spectra = _awkward_values(7 * 12001, 6).reshape(7, 12001)
+    thetas = np.arange(7) * np.pi / 7
+    m = ThetaMap(thetas=thetas, freqs=TWO_PI * np.arange(12001.0),
+                 spectra=spectra)
+    write_map(p, m, fmt="csv")
+    rows = [line for line in p.read_text().splitlines()
+            if not line.startswith(("#", "theta_rad"))]
+    assert rows == [",".join(_fmt(x) for x in (thetas[k], *spectra[k]))
+                    for k in range(7)]
 
 
 # ------------------------------------------------------------------- maps

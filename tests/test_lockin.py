@@ -20,6 +20,14 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_scipy_fft_unloaded():
+    # rhet analytic and rhet compare run no transform; they start without it
+    code = "import sys, rhet.cli; print('scipy.fft' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
 def test_constant_phase_recovery(thermal_cfg):
     cfg = dataclasses.replace(thermal_cfg, theta0=0.35)
     tr = synth_gaussian_trace(cfg, 0.5, 2e-7, seed=11, pilot_amplitude=PILOT)
