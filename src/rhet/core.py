@@ -116,6 +116,8 @@ class TimeTrace:
         self.samples.flags.writeable = False
         if self.samples.ndim != 1 or self.samples.size < 2:
             raise ValueError("trace must be a 1-d array with at least 2 samples")
+        if not np.isfinite(self.samples).all():
+            raise ValueError("trace contains non-finite samples")
         if not (self.dt > 0):
             raise ValueError("dt must be positive")
         if not (self.omega_beat > 0):

@@ -276,16 +276,22 @@ class _Moments:
     """Running mean and co-moment (Welford) of a stack of K real rows,
     updated in call order so the result is reproducible to the bit."""
 
-    count, mean, m2 = 0, None, 0.0
+    count, mean, m2 = 0, None, None
 
     def add(self, rows):
         self.count += 1
         if self.count == 1:
             self.mean = np.array(rows, dtype=float)
+            self.m2 = np.zeros((len(rows),) + self.mean.shape)
             return
         d_old = rows - self.mean
         self.mean += d_old / self.count
-        self.m2 += d_old[:, None, :] * (rows - self.mean)[None, :, :]
+        d_new = rows - self.mean
+        # one co-moment entry at a time, in place: no K x K x n temporary
+        k = range(len(rows))
+        for i in k:
+            for j in k:
+                self.m2[i, j] += d_old[i] * d_new[j]
 
     def variance(self, a):
         """Variance of the mean of sum_k a_k row_k (for complex a the total,

@@ -1,10 +1,11 @@
 """Software lock-in: track the LO phase on the beat note, then feed the
 recovered phase back into the filtered estimator.
 
-demodulate() mixes the current down at the beat frequency, low-passes both
-quadratures, decimates, and unwraps the angle. It needs a visible beat-note
-line (a coherent pilot or a strong carrier leak); with shot noise alone
-there is nothing to lock to and it raises.
+demodulate() shifts the beat note to baseband, low-passes it, decimates,
+and unwraps the angle, all in the frequency domain from one real FFT of
+the trace. It needs a visible beat-note line (a coherent pilot or a strong
+carrier leak); with shot noise alone there is nothing to lock to and it
+raises.
 """
 from __future__ import annotations
 
@@ -20,52 +21,88 @@ _DETECT_RATIO = 10.0
 _CONTROL_OFFSET_HZ = 5.0e3
 
 
+def _baseband(spec, n, k_per_rad, omega, bandwidth_hz, m):
+    """m evenly spaced samples over the record of the low-passed complex
+    baseband 2 x(t) e^{-i omega t}, from spec = rfft(x).
+
+    Takes the m bins centred on the bin k0 nearest omega, weights them by
+    the zero-phase Butterworth magnitude |H|^2 = 1/(1 + (df/bandwidth)^8),
+    folds them mod m and inverts with one m-point FFT. The factor
+    e^{i(omega_k0 - omega) t} then restores the exact beat, so an off-grid
+    beat loses nothing.
+    """
+    from scipy import fft as sfft
+
+    k0 = int(round(omega * k_per_rad))
+    k = k0 + np.arange(-(m // 2), m - m // 2)
+    # bins outside [0, n/2] are the mirrored conjugates of a real signal
+    kk = k % n
+    neg = kk > n // 2
+    x = spec[np.where(neg, n - kk, kk)]
+    x[neg] = np.conj(x[neg])
+    df_hz = (k / k_per_rad - omega) / TWO_PI
+    x *= (2.0 / n) / (1.0 + (df_hz / bandwidth_hz) ** 8)
+    z = sfft.ifft(np.roll(x, -(m // 2)), norm="forward")
+    # sample p sits at t = p n dt / m, so the bin offset costs a phase
+    # (k0 - omega k_per_rad) 2 pi p / m
+    return z * np.exp(1j * TWO_PI * (k0 - omega * k_per_rad) * np.arange(m) / m)
+
+
 def demodulate(trace: TimeTrace, omega_beat: Optional[float] = None,
                bandwidth_hz: float = 200.0) -> PhaseSeries:
     """Recover the slowly varying beat-note phase theta_hat(t).
 
-    Mixes with e^{-i Om t}, applies a 4th-order Butterworth low-pass of the
-    given bandwidth to both quadratures (zero-phase, forward-backward), and
-    decimates to roughly 8 samples per filter time constant. The returned
-    series is the unwrapped angle, so theta_hat includes the constant LO
-    phase plus drift. The filter's startup transient (a few 1/bandwidth)
-    is trimmed from both ends so the first sample is a safe anchor for
-    drift correction.
+    Shifts the beat to baseband and applies the magnitude response of a
+    4th-order Butterworth low-pass of the given bandwidth, run forward and
+    backward: |H|^2 = 1/(1 + (df/bandwidth)^8), zero phase. The filter acts
+    on the bins of one real FFT of the trace, so the record is treated as
+    periodic and nothing runs at the full sample rate (scipy.signal is not
+    needed). The output has m = round(n/step) points spread evenly over the
+    record, step being roughly 8 samples per filter time constant; when
+    step divides n this is the times()[::step] grid. The returned series
+    is the unwrapped angle, so theta_hat includes the constant LO phase
+    plus drift. Where the record wraps round, the filter mixes its two
+    ends; about 3/bandwidth is trimmed from each end so the first sample is
+    a safe anchor for drift correction.
 
     Raises ValueError("beat note not detected") when the beat-band envelope
-    does not exceed a control band (offset by 5 kHz) by 10x in RMS.
+    does not exceed a control band (offset by 5 kHz) by 10x in RMS over the
+    interior of the record, or when both bands are empty.
     """
-    # scipy.signal costs about a second to import; only the lock-in needs it
-    from scipy.signal import butter, filtfilt
+    from scipy import fft as sfft
 
     om = trace.omega_beat if omega_beat is None else float(omega_beat)
     fs = 1.0 / trace.dt
     if not (0 < bandwidth_hz < om / TWO_PI / 4.0):
         raise ValueError("bandwidth must be positive and well below the beat frequency")
-    t = trace.times()
-    b, a = butter(4, bandwidth_hz / (0.5 * fs))
-
-    def _baseband(freq):
-        mix = 2.0 * trace.samples * np.exp(-1j * freq * t)
-        return filtfilt(b, a, mix.real) + 1j * filtfilt(b, a, mix.imag)
-
-    z = _baseband(om)
-    zc = _baseband(om + TWO_PI * _CONTROL_OFFSET_HZ)
-    # judge detection on the interior: the zero-phase filter's startup
-    # transient leaks the (possibly huge) pilot into the control band
-    i0 = int(np.ceil(3.0 * fs / bandwidth_hz))
-    core = slice(i0, z.size - i0) if 2 * i0 < z.size // 2 else slice(None)
-    snr = np.sqrt(np.mean(np.abs(z[core]) ** 2) / np.mean(np.abs(zc[core]) ** 2))
-    if snr < _DETECT_RATIO:
+    n = trace.n
+    step = max(1, int(round(fs / (8.0 * bandwidth_hz))))
+    m = int(round(n / step))
+    if m < 2:
+        raise ValueError("trace too short for the lock-in bandwidth")
+    spec = sfft.rfft(trace.samples)
+    k_per_rad = trace.duration / TWO_PI
+    z = _baseband(spec, n, k_per_rad, om, bandwidth_hz, m)
+    zc = _baseband(spec, n, k_per_rad, om + TWO_PI * _CONTROL_OFFSET_HZ,
+                   bandwidth_hz, m)
+    dt_out = trace.duration / m
+    # the wrapped filter's edge transients span ~3/bandwidth at each end
+    trim = int(np.ceil(3.0 / bandwidth_hz / dt_out))
+    # judge detection on the interior: near the ends the wrapped filter
+    # leaks the (possibly huge) pilot into the control band
+    core = slice(trim, m - trim) if 2 * trim < m // 2 else slice(None)
+    power = np.mean(np.abs(z[core]) ** 2)
+    control = np.mean(np.abs(zc[core]) ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        snr = np.sqrt(power / control)
+    # written so that an empty trace (0/0 = NaN) fails too
+    if not snr >= _DETECT_RATIO:
         raise ValueError(
             f"beat note not detected: envelope only {snr:.2f}x the control "
             f"band (need {_DETECT_RATIO:.0f}x); add a pilot tone or check "
             f"omega_beat")
-    step = max(1, int(round(fs / (8.0 * bandwidth_hz))))
-    theta = np.unwrap(np.angle(z[::step]))
-    times = t[::step]
-    # drop the zero-phase filter's edge transients (~3/bandwidth each side)
-    trim = int(np.ceil(3.0 / bandwidth_hz / (step * trace.dt)))
+    theta = np.unwrap(np.angle(z))
+    times = np.arange(m) * dt_out
     if theta.size - 2 * trim >= 8:
         theta = theta[trim:theta.size - trim]
         times = times[trim:times.size - trim]

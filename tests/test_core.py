@@ -96,6 +96,14 @@ def test_time_trace_contracts():
         TimeTrace(samples=np.arange(5.0), dt=0.5, omega_beat=-1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_time_trace_rejects_non_finite_samples(bad):
+    samples = np.arange(5.0)
+    samples[2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        TimeTrace(samples=samples, dt=0.5, omega_beat=10.0)
+
+
 def test_phase_series_contracts():
     t = np.linspace(0.0, 1.0, 11)
     ps = PhaseSeries(times=t, theta=0.2 * t)

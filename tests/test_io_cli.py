@@ -377,6 +377,22 @@ def test_cli_spectrum_missing_input_is_io_error(tmp_path):
     assert rc == 3
 
 
+def test_cli_spectrum_rejects_non_finite_trace_as_io_error(cli_ws, tmp_path,
+                                                          capsys):
+    raw = bytearray((cli_ws / "trace.rht").read_bytes())
+    at = len(raw) // 2 // 8 * 8  # one sample in the middle of the payload
+    raw[at:at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    bad = tmp_path / "nan.rht"
+    bad.write_bytes(bytes(raw))
+    rc = main(["spectrum", "--in", str(bad), "--out", str(tmp_path / "o.csv"),
+               "--segments", "8"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "non-finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_cli_lockin_spectrum_raises_drifting_peaks(cli_ws, thermal_cfg):
     m1 = thermal_cfg.modes[0]
     drifting = cli_ws / "drift.rht"

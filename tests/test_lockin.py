@@ -7,10 +7,18 @@ import sys
 import numpy as np
 import pytest
 
-from rhet import (PhaseDriftSpec, demodulate, phase_drift,
+from rhet import (PhaseDriftSpec, TimeTrace, demodulate, phase_drift,
                   synth_gaussian_trace)
+from rhet.core import TWO_PI
 
 PILOT = 2500.0  # ~90x detection margin over the thermal envelope noise
+
+
+def _pilot_trace(n, beat_hz, phase, dt=2e-7):
+    """Noise-free pilot PILOT cos(2 pi beat_hz t + phase(t))."""
+    t = np.arange(n) * dt
+    return TimeTrace(samples=PILOT * np.cos(TWO_PI * beat_hz * t + phase(t)),
+                     dt=dt, omega_beat=TWO_PI * beat_hz)
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
@@ -26,6 +34,50 @@ def test_cli_import_leaves_scipy_fft_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_demodulate_runs_without_scipy_signal():
+    code = ("import sys, numpy as np, rhet; "
+            "t = np.arange(200000) * 2e-7; "
+            "tr = rhet.TimeTrace(np.cos(2e4 * np.pi * t + 0.3), 2e-7, 2e4 * np.pi); "
+            "ps = rhet.demodulate(tr); "
+            "print(abs(ps.theta[0] - 0.3) < 1e-3, 'scipy.signal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["True", "False"]
+
+
+@pytest.mark.parametrize("phase", [
+    lambda t: np.full_like(t, 0.7),
+    lambda t: phase_drift(t, 0.7, np.pi / 4, 25.0),
+], ids=["constant", "sine drift"])
+def test_noise_free_pilot_off_the_bin_grid(phase):
+    # the beat sits between FFT bins and the decimation step (3125 samples)
+    # does not divide n, so neither the bin shift nor the output grid is
+    # exact by construction
+    tr = _pilot_trace(2_499_999, 10003.3, phase)
+    ps = demodulate(tr)
+    assert np.max(np.abs(ps.theta - phase(ps.times))) < 1e-3
+    assert ps.times[0] >= 3.0 / 200.0
+    assert ps.times[-1] <= tr.duration - 3.0 / 200.0
+
+
+def test_output_grid_is_the_decimated_sample_grid():
+    # 5 MS/s at 8 samples per 1/(200 Hz) is a step of 3125, which divides n
+    tr = _pilot_trace(500_000, 10_000.0, lambda t: np.full_like(t, -0.4))
+    ps = demodulate(tr)
+    idx = ps.times / (3125 * tr.dt)
+    assert np.allclose(idx, np.round(idx), rtol=0, atol=1e-9)
+    assert np.all(np.diff(np.round(idx)) == 1)
+    assert np.max(np.abs(ps.theta + 0.4)) < 1e-3
+
+
+def test_demodulate_rejects_an_all_zero_trace():
+    # the SNR is 0/0 there; NaN must not pass the detection gate
+    tr = TimeTrace(samples=np.zeros(200_000), dt=2e-7,
+                   omega_beat=TWO_PI * 1.0e4)
+    with pytest.raises(ValueError, match="beat note not detected"):
+        demodulate(tr)
 
 
 def test_constant_phase_recovery(thermal_cfg):
@@ -76,3 +128,5 @@ def test_demodulate_bandwidth_validation(thermal_cfg):
         demodulate(tr, bandwidth_hz=0.0)
     with pytest.raises(ValueError):
         demodulate(tr, bandwidth_hz=5e3)  # not well below Omega/2pi
+    with pytest.raises(ValueError, match="too short"):
+        demodulate(dataclasses.replace(tr, samples=tr.samples[:3000]))
