@@ -61,13 +61,12 @@ def _lorentz(u, gam):
 
 
 def _model_rows(cfg: ExperimentConfig, nu: np.ndarray):
-    """Return (s_adaga(nu), s_aa(nu)) for an array of angular frequencies."""
+    """(s_adaga(nu), s_adaga(-nu), s_aa(nu)) for an array of angular
+    frequencies: one pass forms the terms at +-nu that all three need."""
     cc = cavity_susceptibility(nu, cfg.kappa, cfg.detuning)
     ccm = cavity_susceptibility(-nu, cfg.kappa, cfg.detuning)
-    content = np.zeros(nu.shape, dtype=float)
-    corr = np.zeros(nu.shape, dtype=complex)
-    V = np.zeros(nu.shape, dtype=complex)
-    Vm = np.zeros(nu.shape, dtype=complex)
+    # sums over modes; each becomes an array at its first update
+    content = content_m = corr = V = Vm = 0.0
     w = cfg.backaction_weight
     for mode, g in zip(cfg.modes, cfg.coupling):
         gam, om, nb = mode.gamma, mode.omega_m, mode.nbar
@@ -75,20 +74,20 @@ def _model_rows(cfg: ExperimentConfig, nu: np.ndarray):
         pqm = (nb + 1) * _lorentz(-nu + om, gam) + nb * _lorentz(-nu - om, gam)
         k2 = 2.0 * cfg.kappa * g * g
         content += k2 * np.abs(cc) ** 2 * pq
+        content_m += k2 * np.abs(ccm) ** 2 * pqm
         corr -= k2 * cc * ccm * np.sqrt(pq * pqm)
         if w != 0.0:
             V += 4j * cfg.kappa * w * g * g * cc * _chibar(nu, mode)
             Vm += 4j * cfg.kappa * w * g * g * ccm * _chibar(-nu, mode)
-    R = 2.0 * cfg.kappa * cc - 1.0
-    Rm = 2.0 * cfg.kappa * ccm - 1.0
-    alpha = V * cc + R
+    alpha = V * cc + (2.0 * cfg.kappa * cc - 1.0)  # V chi_c + R
     beta = V * np.conj(ccm)
-    alpham = Vm * ccm + Rm
+    alpham = Vm * ccm + (2.0 * cfg.kappa * ccm - 1.0)
     betam = Vm * np.conj(cc)
     half = 0.5 * cfg.shot_floor
     s_adaga = content + (np.abs(alpha) ** 2 + np.abs(beta) ** 2) * half
+    s_aadag = content_m + (np.abs(alpham) ** 2 + np.abs(betam) ** 2) * half
     s_aa = corr + (alpham * beta + alpha * betam) * half
-    return s_adaga, s_aa
+    return s_adaga, s_aadag, s_aa
 
 
 @dataclass(eq=False)
@@ -126,8 +125,7 @@ def field_spectra(cfg: ExperimentConfig, freqs) -> FieldSpectra:
     it identically otherwise.
     """
     nu = np.asarray(freqs, dtype=float)
-    s_adaga, s_aa = _model_rows(cfg, nu)
-    s_aadag, _ = _model_rows(cfg, -nu)  # s_aadag(nu) = s_adaga(-nu)
+    s_adaga, s_aadag, s_aa = _model_rows(cfg, nu)
     bound = s_adaga * s_aadag
     bad = np.abs(s_aa) ** 2 > bound * (1.0 + 1e-9) + 1e-300
     if np.any(bad):
@@ -144,7 +142,7 @@ def _values_at(fs: FieldSpectra, nu: np.ndarray):
     """(s_adaga, s_aa) at arbitrary frequencies: exact re-evaluation when the
     config is attached, linear interpolation on the stored grid otherwise."""
     if fs.config is not None:
-        return _model_rows(fs.config, nu)
+        return _model_rows(fs.config, nu)[::2]  # (s_adaga, s_aa)
     lo, hi = fs.freqs[0], fs.freqs[-1]
     if np.min(nu) < lo or np.max(nu) > hi:
         raise GridError(

@@ -185,6 +185,8 @@ class FilterSpec:
     def __post_init__(self):
         if not (-1.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in [-1, 1]")
+        if not np.isfinite(self.phase_offset):
+            raise ValueError("filter phase must be finite")
         if not (self.omega_beat > 0):
             raise ValueError("omega_beat must be positive")
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import PhaseSeries, Spectrum, ThetaMap, TimeTrace
+from .core import FilterSpec, PhaseSeries, Spectrum, ThetaMap, TimeTrace
 from .estimator import (_combine, _mirror_index, _quadrature_weights,
                         _segments, _spectrum_grid, _stream_basis,
                         rhet_spectrum)
@@ -72,6 +72,7 @@ def theta_map_fast(trace: TimeTrace, epsilon: float, n_theta: int = 800,
     """Stream-synthesized map; see module docstring for the contract."""
     if variant not in ("t0", "tbar"):
         raise ValueError("variant must be 't0' or 'tbar'")
+    FilterSpec(epsilon=epsilon, omega_beat=trace.omega_beat)  # checks epsilon
     workers = resolve_workers(workers)
     thetas = _theta_grid(n_theta)
     n_seg, freqs, mask = _map_grid(trace, segments, band)

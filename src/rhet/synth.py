@@ -14,12 +14,15 @@ drawn from the 2x2 complex Gaussian with covariance
 
 via a closed-form Cholesky factor; a(t) = sum_k z_k e^{-i nu_k t}. The model
 guarantees the matrix is positive semidefinite (Cauchy-Schwarz), so the
-factorization cannot fail on valid configs. DC and Nyquist bins are drawn
-uncorrelated (two bins out of N; s_aa is negligible there for any config in
-the operating regime). Everything is deterministic given the seed.
+factorization cannot fail on valid configs. One model pass over bins 0..N//2
+gives P(+-nu_k) and s_aa(nu_k); the factors of the last (config, N, dt) are
+memoised. DC and Nyquist bins are drawn uncorrelated (s_aa is negligible
+there); fftfreq puts the Nyquist bin at -pi/dt, so it takes P(-pi/dt).
+Everything is deterministic given the seed.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -79,32 +82,40 @@ def modulate_current(x_quad, y_quad, omega_beat: float, theta, dt: float,
                      theta_nominal=nominal, label=label)
 
 
-def _draw_field(cfg: ExperimentConfig, n: int, dt: float,
-                rng: np.random.Generator) -> np.ndarray:
-    nu = TWO_PI * np.fft.fftfreq(n, dt)
-    p, saa = _model_rows(cfg, nu)
-    scale = 1.0 / (n * dt)
-    g1 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-    g2 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-    z = np.zeros(n, dtype=complex)
-    half = np.arange(1, (n + 1) // 2)  # bins pairing with their negatives
-    p1 = p[half] * scale
-    p2 = p[n - half] * scale  # P(-nu_k)
-    c = saa[half] * scale
+@functools.lru_cache(maxsize=1)
+def _bin_factors(cfg: ExperimentConfig, n: int, dt: float):
+    """Cholesky factors (l11, l21, l22) of fftfreq bins 0..n//2."""
+    # 0.5: each part of a unit complex normal has variance 1/2. An even n's
+    # Nyquist bin sits at -pi/dt; l11 alone draws it, as it does DC. Blocks
+    # of bins bound the model's temporaries.
+    scale = 0.5 / (n * dt)
+    nu = TWO_PI * np.fft.fftfreq(n, dt)[:n // 2 + 1]
+    p1, p2, c = (np.concatenate(rows) * scale for rows in zip(*(
+        _model_rows(cfg, nu[k:k + 65536]) for k in range(0, nu.size, 65536))))
     l11 = np.sqrt(p1)
     safe = np.where(p1 > 0, p1, 1.0)
     l21 = np.where(p1 > 0, np.conj(c) / np.sqrt(safe), 0.0)
     l22sq = p2 - np.where(p1 > 0, np.abs(c) ** 2 / safe, 0.0)
     # PSD-guaranteed analytically; clip the float dust
     l22 = np.sqrt(np.maximum(l22sq, 0.0))
-    z[half] = l11 * g1[half]
-    z[n - half] = np.conj(l21 * g1[half] + l22 * g2[half])
-    z[0] = np.sqrt(max(p[0], 0.0) * scale) * g1[0]
-    if n % 2 == 0:
-        z[n // 2] = np.sqrt(max(p[n // 2], 0.0) * scale) * g1[n // 2]
+    l11.flags.writeable = l21.flags.writeable = l22.flags.writeable = False
+    return l11, l21, l22
+
+
+def _draw_field(cfg: ExperimentConfig, n: int, dt: float,
+                rng: np.random.Generator) -> np.ndarray:
+    l11, l21, l22 = _bin_factors(cfg, n, dt)
+    pos, neg = slice(1, (n + 1) // 2), slice(n - 1, n // 2, -1)  # k, n - k
+    z = np.empty(n, dtype=complex)
+    z.real, z.imag = rng.standard_normal(n), rng.standard_normal(n)  # g1
+    g2 = rng.standard_normal(n)[pos] + 1j * rng.standard_normal(n)[pos]
+    np.multiply(l21[pos], z[pos], out=z[neg])
+    z[neg] += l22[pos] * g2
+    np.conjugate(z[neg], out=z[neg])
+    z[:n // 2 + 1] *= l11
     # a(t_j) = sum_k z_k e^{-i nu_k t_j}: the forward FFT implements the
     # e^{-i} kernel on the fftfreq layout
-    return np.fft.fft(z)
+    return np.fft.fft(z, out=z)
 
 
 def synth_gaussian_trace(cfg: ExperimentConfig, duration: float, dt: float,
@@ -131,20 +142,23 @@ def synth_gaussian_trace(cfg: ExperimentConfig, duration: float, dt: float,
 
     rng = np.random.default_rng(seed)
     a = _draw_field(cfg, n, dt, rng)
-    t = np.arange(n) * dt
+    ph = np.arange(n) * dt
     d = cfg.drift
     if d.amplitude == 0.0:
-        th = np.full(n, cfg.theta0)
+        th = cfg.theta0
     elif d.kind == "sine":
-        th = phase_drift(t, cfg.theta0, d.amplitude, d.freq_hz)
+        th = phase_drift(ph, cfg.theta0, d.amplitude, d.freq_hz)
     else:  # walk
         steps = rng.standard_normal(n) * (d.amplitude / np.sqrt(n))
         steps[0] = 0.0
         th = cfg.theta0 + np.cumsum(steps)
-    ph = cfg.omega_beat * t + th
-    cur = 2.0 * np.real(a) * np.cos(ph) + 2.0 * np.imag(a) * np.sin(ph)
-    if pilot_amplitude != 0.0:
-        cur += pilot_amplitude * np.cos(ph)
+    ph *= cfg.omega_beat
+    ph += th
+    cur = np.cos(ph)
+    pilot = pilot_amplitude * cur if pilot_amplitude != 0.0 else 0.0
+    cur *= 2.0 * a.real
+    cur += np.multiply(2.0 * a.imag, np.sin(ph, out=ph), out=ph)
+    cur += pilot
     return TimeTrace(samples=cur, dt=dt, omega_beat=cfg.omega_beat,
                      theta_nominal=cfg.theta0,
                      label=f"synth(seed={seed})")

@@ -128,6 +128,9 @@ def test_filter_spec_contracts():
         FilterSpec(epsilon=-1.5, omega_beat=1.0)
     with pytest.raises(ValueError):
         FilterSpec(epsilon=0.0, omega_beat=0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="filter phase must be finite"):
+            FilterSpec(epsilon=0.0, omega_beat=1.0, phase_offset=bad)
 
 
 def test_spectrum_contracts():

@@ -364,3 +364,12 @@ def test_complex_corr_spectrum_shape_and_meta(short_trace):
     assert c.meta["kind"] == "complex_corr"
     assert c.meta["omega_beat"] == short_trace.omega_beat
     assert c.freqs.size == short_trace.n // 8
+
+
+@pytest.mark.parametrize("variant", ["tbar", "t0"])
+@pytest.mark.parametrize("theta", [np.nan, np.inf])
+def test_rhet_spectrum_rejects_a_non_finite_filter_phase(noise_trace, variant,
+                                                         theta):
+    # tbar used to return all NaN and t0 minus the periodogram
+    with pytest.raises(ValueError, match="filter phase must be finite"):
+        rhet_spectrum(noise_trace, -1.0, theta, variant=variant)

@@ -371,6 +371,62 @@ def test_cli_rejects_segment_counts_below_one(cli_ws, capsys, cmd, segments):
     assert "segments must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--theta", "nan"], "filter phase must be finite"),
+    (["spectrum", "--variant", "t0", "--theta", "inf"],
+     "filter phase must be finite"),
+    (["map", "--epsilon", "2"], "epsilon must lie in [-1, 1]"),
+    (["map", "--epsilon", "nan"], "epsilon must lie in [-1, 1]"),
+])
+def test_cli_rejects_bad_filter_parameters(cli_ws, capsys, argv, message):
+    out = cli_ws / "bad_filter.csv"
+    rc = main(argv + ["--in", str(cli_ws / "trace.rht"), "--out", str(out),
+                      "--segments", "8"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_trace_path(cli_ws):
+    path = cli_ws / "tiny.rht"
+    rc = main(["synth", "--config", str(cli_ws / "config.json"),
+               "--out", str(path), "--seed", "5", "--duration", "0.002"])
+    assert rc == 0
+    return path
+
+
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
+                     1.0, -1.0, 1e308]),
+    st.floats(-1.0, 1.0), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=50, deadline=None)
+@given(cmd=st.sampled_from([["spectrum", "--variant", "tbar"],
+                            ["spectrum", "--variant", "t0"],
+                            ["spectrum", "--mode", "welch"],
+                            ["spectrum", "--mode", "cross"],
+                            ["map", "--thetas", "8"]]),
+       theta=_EDGE_FLOATS, epsilon=_EDGE_FLOATS,
+       segments=st.one_of(st.sampled_from([0, -1, 625, 626, 2**31]),
+                          st.integers(-3, 64)))
+def test_cli_fuzzed_filter_arguments_exit_cleanly(tiny_trace_path,
+                                                  tmp_path_factory, cmd, theta,
+                                                  epsilon, segments):
+    out = tmp_path_factory.mktemp("fuzz") / "out.csv"
+    # "--flag=value", since argparse reads a bare "-1e-05" or "-inf" as a flag
+    argv = cmd + ["--in", str(tiny_trace_path), "--out", str(out),
+                  f"--epsilon={epsilon!r}", f"--segments={segments}"]
+    if cmd[0] == "spectrum":
+        argv.append(f"--theta={theta!r}")
+    rc = main(argv)
+    assert rc in (0, 2, 3)
+    if rc == 0 and cmd[0] == "spectrum":
+        # no bad value may come back as a silent all-NaN spectrum
+        assert np.isfinite(read_spectrum(out).values).all()
+
+
 def test_cli_spectrum_missing_input_is_io_error(tmp_path):
     rc = main(["spectrum", "--in", str(tmp_path / "absent.rht"),
                "--out", str(tmp_path / "o.csv")])

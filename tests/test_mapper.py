@@ -133,3 +133,10 @@ def test_map_workers_bit_identical(short_trace):
     b = theta_map_fast(short_trace, -1.0, n_theta=16, segments=4, band=band,
                        workers=4)
     assert np.array_equal(a.spectra, b.spectra)
+
+
+@pytest.mark.parametrize("epsilon", [2.0, -1.5, np.nan])
+def test_fast_map_checks_epsilon_like_the_filter(noise_trace, epsilon):
+    # the fast path applies no filter to the trace, yet epsilon still weights it
+    with pytest.raises(ValueError, match=r"epsilon must lie in \[-1, 1\]"):
+        theta_map_fast(noise_trace, epsilon, n_theta=4)

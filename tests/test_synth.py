@@ -1,14 +1,17 @@
 """Synthesizer: deterministic tones, modulation algebra, and statistical
 agreement of the Gaussian draw with the model it claims to sample."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rhet import (PhaseSeries, Spectrum, compare_spectra, field_spectra,
-                  complex_corr_spectrum, heterodyne_psd, modulate_current,
-                  phase_drift, standard_psd, synth_gaussian_trace, tone_field)
+from rhet import (PhaseDriftSpec, PhaseSeries, Spectrum, compare_spectra,
+                  field_spectra, complex_corr_spectrum, heterodyne_psd,
+                  modulate_current, phase_drift, standard_psd,
+                  synth_gaussian_trace, tone_field)
 from rhet.core import TWO_PI, ConfigError
+from rhet.synth import _bin_factors
 
 
 def test_tone_field_closed_form():
@@ -127,3 +130,97 @@ def test_complex_corr_recovers_rotated_anomalous_spectrum(thermal_cfg):
     want = np.exp(-2j * 0.35) * np.mean(fs.s_aa)
     got = np.mean(acc[sel])
     assert abs(got - want) < 0.15 * abs(want)
+
+
+def _oracle_current(cfg, n, dt, seed, pilot_amplitude):
+    """The draw written out independently: the model on the fftfreq grid, a
+    numpy Cholesky factor per bin pair, the same four normal draws, then any
+    random-walk steps and the modulation."""
+    rng = np.random.default_rng(seed)
+    fs = field_spectra(cfg, TWO_PI * np.fft.fftfreq(n, dt))
+    g1 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+    g2 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+    scale = 1.0 / (n * dt)
+    z = np.empty(n, dtype=complex)
+    for k in range(1, (n + 1) // 2):
+        cov = scale * np.array([[fs.s_adaga[k], fs.s_aa[k]],
+                                [np.conj(fs.s_aa[k]), fs.s_adaga[n - k]]])
+        z[k], conj_minus = np.linalg.cholesky(cov) @ np.array([g1[k], g2[k]])
+        z[n - k] = np.conj(conj_minus)
+    z[0] = np.sqrt(fs.s_adaga[0] * scale) * g1[0]
+    if n % 2 == 0:  # the fftfreq grid holds the Nyquist bin at -pi/dt
+        z[n // 2] = np.sqrt(fs.s_adaga[n // 2] * scale) * g1[n // 2]
+    a = np.fft.fft(z)
+    t = np.arange(n) * dt
+    d = cfg.drift
+    if d.amplitude == 0.0:
+        th = cfg.theta0
+    elif d.kind == "sine":
+        th = cfg.theta0 + d.amplitude * np.sin(TWO_PI * d.freq_hz * t)
+    else:
+        steps = rng.standard_normal(n) * (d.amplitude / np.sqrt(n))
+        steps[0] = 0.0
+        th = cfg.theta0 + np.cumsum(steps)
+    ph = cfg.omega_beat * t + th
+    return (2.0 * a.real * np.cos(ph) + 2.0 * a.imag * np.sin(ph)
+            + pilot_amplitude * np.cos(ph))
+
+
+@pytest.mark.parametrize("pilot", [0.0, 3.0])
+@pytest.mark.parametrize("drift", [PhaseDriftSpec(),
+                                   PhaseDriftSpec(0.3, 2.0e4, "sine"),
+                                   PhaseDriftSpec(0.3, kind="walk")],
+                         ids=["none", "sine", "walk"])
+@pytest.mark.parametrize("n", [64, 65])
+def test_synth_matches_per_bin_cholesky_oracle(thermal_cfg, n, drift, pilot):
+    # odd and even n, so the Nyquist bin is covered; the walk pins how many
+    # normals the field draw consumes
+    cfg = dataclasses.replace(thermal_cfg, theta0=0.35, drift=drift,
+                              backaction_weight=1.0)
+    dt = 2e-7
+    got = synth_gaussian_trace(cfg, n * dt, dt, seed=21,
+                               pilot_amplitude=pilot).samples
+    want = _oracle_current(cfg, n, dt, 21, pilot)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_synth_factor_memo_contract(thermal_cfg):
+    n, dt = 4096, 2e-7
+    _bin_factors.cache_clear()
+    cold = synth_gaussian_trace(thermal_cfg, n * dt, dt, seed=9)
+    warm = synth_gaussian_trace(thermal_cfg, n * dt, dt, seed=9)
+    assert cold.samples.tobytes() == warm.samples.tobytes()
+    info = _bin_factors.cache_info()
+    assert (info.misses, info.hits, info.maxsize, info.currsize) == (1, 1, 1, 1)
+    base = _bin_factors(thermal_cfg, n, dt)
+    for f in base:
+        assert not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[0] = 0.0
+    for key in ((dataclasses.replace(thermal_cfg, kappa=2.0 * thermal_cfg.kappa),
+                 n, dt),
+                (thermal_cfg, n + 1, dt),
+                (thermal_cfg, n, 1.5 * dt)):
+        misses = _bin_factors.cache_info().misses
+        other = _bin_factors(*key)
+        assert _bin_factors.cache_info().misses == misses + 1
+        assert _bin_factors.cache_info().currsize == 1
+        assert not np.array_equal(other[0], base[0])
+
+
+def test_synth_peak_allocation_is_bounded(thermal_cfg):
+    # a cold draw (factors not memoised) of 1e6 samples; the parent design
+    # of the draw peaked at 31x the trace
+    _bin_factors.cache_clear()
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tr = synth_gaussian_trace(thermal_cfg, 0.2, 2e-7, seed=4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert tr.n == 1_000_000
+    assert peak <= 12 * tr.samples.nbytes
