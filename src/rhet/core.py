@@ -72,7 +72,7 @@ class ExperimentConfig:
     kappa             : cavity amplitude decay rate (rad/s); the cavity
                         response used throughout is 1/(kappa - i(detuning+omega))
     detuning          : laser-cavity detuning (rad/s)
-    modes             : tuple of MechMode
+    modes             : tuple of MechMode; a list is stored as a tuple
     coupling          : per-mode measurement-rate-like coupling g (rad/s);
                         thermal peak height above the floor scales as
                         2*kappa*g^2*|chi_c|^2 * 4*nbar/gamma
@@ -93,6 +93,10 @@ class ExperimentConfig:
     drift: PhaseDriftSpec = field(default_factory=PhaseDriftSpec)
     shot_floor: float = 1.0
     backaction_weight: float = 0.0
+
+    def __post_init__(self):  # hashable: rhet.synth memoises on the config
+        object.__setattr__(self, "modes", tuple(self.modes))
+        object.__setattr__(self, "coupling", tuple(self.coupling))
 
 
 @dataclass(eq=False)

@@ -15,10 +15,11 @@ drawn from the 2x2 complex Gaussian with covariance
 via a closed-form Cholesky factor; a(t) = sum_k z_k e^{-i nu_k t}. The model
 guarantees the matrix is positive semidefinite (Cauchy-Schwarz), so the
 factorization cannot fail on valid configs. One model pass over bins 0..N//2
-gives P(+-nu_k) and s_aa(nu_k); the factors of the last (config, N, dt) are
-memoised. DC and Nyquist bins are drawn uncorrelated (s_aa is negligible
-there); fftfreq puts the Nyquist bin at -pi/dt, so it takes P(-pi/dt).
-Everything is deterministic given the seed.
+gives P(+-nu_k) and s_aa(nu_k). The factors of the last (config, N, dt) stay
+memoised, 16N bytes (twice the trace) held until a synthesis with another key.
+DC and Nyquist bins are drawn uncorrelated (s_aa is negligible there); fftfreq
+puts the Nyquist bin at -pi/dt, so it takes P(-pi/dt). Everything is
+deterministic given the seed.
 """
 from __future__ import annotations
 
@@ -115,7 +116,10 @@ def _draw_field(cfg: ExperimentConfig, n: int, dt: float,
     z[:n // 2 + 1] *= l11
     # a(t_j) = sum_k z_k e^{-i nu_k t_j}: the forward FFT implements the
     # e^{-i} kernel on the fftfreq layout
-    return np.fft.fft(z, out=z)
+    try:
+        return np.fft.fft(z, out=z)
+    except TypeError:  # NumPy < 2.0 has no out=; the result takes 16n bytes
+        return np.fft.fft(z)
 
 
 def synth_gaussian_trace(cfg: ExperimentConfig, duration: float, dt: float,

@@ -224,3 +224,25 @@ def test_synth_peak_allocation_is_bounded(thermal_cfg):
             tracemalloc.stop()
     assert tr.n == 1_000_000
     assert peak <= 12 * tr.samples.nbytes
+
+
+def test_synth_accepts_list_and_array_config_fields(thermal_cfg):
+    # the memo hashes the config; ExperimentConfig stores sequences as tuples
+    loose = dataclasses.replace(thermal_cfg, modes=list(thermal_cfg.modes),
+                                coupling=np.array(thermal_cfg.coupling))
+    assert loose == thermal_cfg and hash(loose) == hash(thermal_cfg)
+    n, dt = 256, 2e-7
+    got = synth_gaussian_trace(loose, n * dt, dt, seed=3).samples
+    want = synth_gaussian_trace(thermal_cfg, n * dt, dt, seed=3).samples
+    assert got.tobytes() == want.tobytes()
+
+
+def test_synth_runs_on_the_numpy1_fft_signature(thermal_cfg, monkeypatch):
+    # numpy.fft.fft takes no out= before NumPy 2.0; pyproject allows 1.24
+    n, dt = 128, 2e-7
+    want = synth_gaussian_trace(thermal_cfg, n * dt, dt, seed=5).samples
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda a, n=None, axis=-1, norm=None:
+                        fft(a, n, axis, norm))
+    got = synth_gaussian_trace(thermal_cfg, n * dt, dt, seed=5).samples
+    assert got.tobytes() == want.tobytes()
