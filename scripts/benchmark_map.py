@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark the phase-map estimators: fast harmonic path vs per-phase
-exact path, and thread scaling of the fast path.
+exact path, and the fast path at each worker count (the transforms are
+1-D and run on one thread, so the worker count should not change the time).
 
     python3 scripts/benchmark_map.py --duration 0.5
     python3 scripts/benchmark_map.py --duration 2.0 --thetas 800 --workers 1 2 4 8

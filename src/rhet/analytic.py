@@ -30,8 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (TWO_PI, ExperimentConfig, GridError, MechMode,
-                   PhysicalityError, Spectrum)
+from .core import (TWO_PI, ExperimentConfig, FilterSpec, GridError,
+                   MechMode, PhysicalityError, Spectrum)
 
 
 def mech_susceptibility(omega, mode: MechMode):
@@ -214,6 +214,8 @@ def rhet_prediction(fs: FieldSpectra, omega_beat: float, theta: float,
     """
     if variant not in ("t0", "tbar"):
         raise ValueError("variant must be 't0' or 'tbar'")
+    FilterSpec(epsilon=epsilon, omega_beat=omega_beat,
+               phase_offset=2.0 * theta)  # checks theta and epsilon
     c0 = filter_coefficients(epsilon, 0)
     c1 = filter_coefficients(epsilon, 1)
     het = heterodyne_psd(fs, omega_beat).values

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 
 import numpy as np
@@ -35,8 +36,19 @@ def _band_arg(text):
         raise argparse.ArgumentTypeError("band must look like LO_HZ:HI_HZ")
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads "-1e-05", "-inf" and "-nan" after an
+    option as its value, like "-1.5", instead of as an unknown flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$",
+            re.IGNORECASE)
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="rhet",
         description="Beat-note filtered spectral analysis of photocurrent traces")
     p.add_argument("--version", action="version",

@@ -25,11 +25,15 @@ O(n_freq); the variance of a = (c0, c1 cos 2theta, c1 sin 2theta) applied
 to it is a^T M a / (S(S-1)).
 
 t0 transforms the literal filter samples per segment, S = dt/N
-Re[conj(FFT(F i)) FFT(i)]. When the sampling is commensurate with the
-filter period and a discontinuity lands exactly on the sample grid, the
-discrete filter's mean shifts by +-(1-eps)/M (M samples per filter period)
-and leaks that fraction of the heterodyne background into eps < 1 spectra;
-otherwise the leakage is O(1/N).
+Re[conj(FFT(F i)) FFT(i)]; eps = +1 takes this route for either variant,
+with F = 1. FFT(i) of every segment is memoised per trace (read-only, 8n
+bytes for n samples, built only here), so a t0 spectrum transforms F i
+alone and an eps = +1 spectrum nothing. A boxcar Welch PSD reads the P0
+row of a basis the trace already holds. When the sampling is commensurate
+with the filter period and a discontinuity lands exactly on the sample
+grid, the discrete filter's mean shifts by +-(1-eps)/M (M samples per
+filter period) and leaks that fraction of the heterodyne background into
+eps < 1 spectra; otherwise the leakage is O(1/N).
 
 max_lag or a lag window goes through filtered_autocorr, also the
 independent reference the engine is tested against; it stores lags 0..n/2,
@@ -76,27 +80,29 @@ def eval_filter(f: FilterSpec, t) -> np.ndarray:
     (linearly interpolated, clamped outside its support).
     """
     t = np.asarray(t, dtype=float)
-    psi = 2.0 * f.omega_beat * t - f.phase_offset
+    psi = np.multiply(2.0 * f.omega_beat, t, out=np.empty_like(t))
+    psi -= f.phase_offset
     if f.dynamic_offset is not None:
-        psi = psi - f.dynamic_offset.sample_at(t)
-    wrapped = np.mod(psi + 0.5 * np.pi, TWO_PI)
-    return np.where(wrapped <= np.pi, 1.0, f.epsilon)
+        psi -= f.dynamic_offset.sample_at(t)
+    psi += 0.5 * np.pi
+    plus = np.mod(psi, TWO_PI, out=psi) <= np.pi
+    psi.fill(f.epsilon)
+    np.copyto(psi, 1.0, where=plus)
+    return psi
 
 
-def _xcorr(x, y, nf, workers):
+def _xcorr(x, y, nf):
     """Circular cross-correlation sum_n conj(x_n) y_{n+m} on nf points,
     zero-padding x and y when nf exceeds their length."""
     from scipy import fft as sfft
     if np.isrealobj(x) and np.isrealobj(y):
-        fx = sfft.rfft(x, nf, workers=workers)
-        return sfft.irfft(np.conj(fx) * sfft.rfft(y, nf, workers=workers),
-                          n=nf, workers=workers)
-    fx = sfft.fft(x, nf, workers=workers)
-    return sfft.ifft(np.conj(fx) * sfft.fft(y, nf, workers=workers),
-                     workers=workers)
+        fx = sfft.rfft(x, nf)
+        return sfft.irfft(np.conj(fx) * sfft.rfft(y, nf), n=nf)
+    fx = sfft.fft(x, nf)
+    return sfft.ifft(np.conj(fx) * sfft.fft(y, nf))
 
 
-def _xcorr_lin(x, y, n, n_lag, workers):
+def _xcorr_lin(x, y, n, n_lag):
     """Zero-padded (linear) cross-correlation, lags -n_lag..n_lag.
 
     Returns (pos, neg): pos[m] = sum_n conj(x_n) y_{n+m}, m = 0..n_lag, and
@@ -104,7 +110,7 @@ def _xcorr_lin(x, y, n, n_lag, workers):
     """
     from scipy import fft as sfft
     nf = sfft.next_fast_len(n + n_lag + 1)
-    raw = _xcorr(x, y, nf, workers)
+    raw = _xcorr(x, y, nf)
     return raw[: n_lag + 1], np.concatenate((raw[:1], raw[nf - n_lag:][::-1]))
 
 
@@ -113,32 +119,52 @@ def _signed_lags(n, dt):
     return np.where(m <= n // 2, m, m - n) * dt
 
 
-def _pairs(a, n):
-    """(a[k], a[-k mod n]) for k = 0..n//2 of a circular array."""
+def _cis(x):
+    """e^{ix} for real x, from cos and sin: within an ulp of numpy's
+    complex exp (bit-equal on glibc) at under half its cost."""
+    x = np.asarray(x, dtype=float)
+    z = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=z.real)
+    np.sin(x, out=z.imag)
+    return z
+
+
+def _pair(op, a, n):
+    """op(a[k], a[-k mod n]) for k = 0..n//2 of a circular array, by
+    slices."""
     h = n // 2 + 1
-    return a[:h], a[(-np.arange(h)) % n]
+    mirror = np.empty(h, dtype=a.dtype)
+    mirror[0] = a[0]
+    mirror[1:] = a[n - 1:n - h:-1]
+    return op(a[:h], mirror, out=mirror)
 
 
 def _demod_pair(cur, phasor, half_d):
     """Pair (x, y) = (phasor e^{i half_d} i, e^{-i half_d} i) whose
     cross-correlation carries one filter harmonic; half_d = k d(t)/2, or
-    None for a static filter (y is then the real current itself)."""
+    None for a static filter (y is then the real current itself). x is
+    formed in place in phasor."""
     if half_d is None:
-        return phasor * cur, cur
-    h = np.exp(1j * half_d)
-    return phasor * h * cur, np.conj(h) * cur
+        phasor *= cur
+        return phasor, cur
+    h = _cis(half_d)
+    phasor *= h
+    phasor *= cur
+    np.conj(h, out=h)
+    h *= cur
+    return phasor, h
 
 
-def _tbar_half(cur, dt, f, t_abs, n_lag, mode, harmonics, workers):
+def _tbar_half(cur, dt, f, t_abs, n_lag, mode, harmonics):
     """tbar autocorrelation via harmonic streams, already symmetrized."""
     n = cur.size
     c0 = filter_coefficients(f.epsilon, 0)
     d = None if f.dynamic_offset is None else f.dynamic_offset.sample_at(t_abs)
     if mode == "circular":
-        acc = c0 * _xcorr(cur, cur, n, workers)
+        acc = c0 * _xcorr(cur, cur, n)
         tau = _signed_lags(n, dt)
     else:
-        pos0, neg0 = _xcorr_lin(cur, cur, n, n_lag, workers)
+        pos0, neg0 = _xcorr_lin(cur, cur, n, n_lag)
         acc = c0 * 0.5 * (pos0 + neg0)
         tau = np.arange(n_lag + 1) * dt
     for k in range(1, harmonics + 1, 2):
@@ -150,13 +176,13 @@ def _tbar_half(cur, dt, f, t_abs, n_lag, mode, harmonics, workers):
         ck_rot = ck * np.exp(-1j * k * f.phase_offset)
         rot = ck_rot * np.exp(1j * k * f.omega_beat * tau)
         if mode == "circular":
-            acc = acc + 2.0 * np.real(rot * _xcorr(x, y, n, workers))
+            acc = acc + 2.0 * np.real(rot * _xcorr(x, y, n))
         else:
-            pos, neg = _xcorr_lin(x, y, n, n_lag, workers)
+            pos, neg = _xcorr_lin(x, y, n, n_lag)
             acc = acc + (np.real(rot * pos) + np.real(
                 ck_rot * np.exp(-1j * k * f.omega_beat * tau) * neg))
     if mode == "circular":
-        return 0.5 * np.add(*_pairs(acc / n, n))
+        return 0.5 * _pair(np.add, acc / n, n)
     return acc / n
 
 
@@ -183,7 +209,7 @@ def filtered_autocorr(trace: TimeTrace, f: FilterSpec,
         raise ValueError("filter and trace disagree on omega_beat")
     if harmonics < 1:
         raise ValueError("harmonics must be >= 1")
-    workers = resolve_workers(workers)
+    resolve_workers(workers)  # checked; every transform here is 1-D
     n, dt = trace.n, trace.dt
     n_lag = n // 2
     if max_lag is not None:
@@ -195,13 +221,12 @@ def filtered_autocorr(trace: TimeTrace, f: FilterSpec,
     if variant == "t0":
         w = eval_filter(f, t_abs) * cur
         if mode == "circular":
-            full = _xcorr(w, cur, n, workers) / n
-            half = 0.5 * np.add(*_pairs(full, n))
+            half = 0.5 * _pair(np.add, _xcorr(w, cur, n) / n, n)
         else:
-            pos, neg = _xcorr_lin(w, cur, n, n_lag, workers)
+            pos, neg = _xcorr_lin(w, cur, n, n_lag)
             half = 0.5 * (pos + neg) / n
     else:
-        half = _tbar_half(cur, dt, f, t_abs, n_lag, mode, harmonics, workers)
+        half = _tbar_half(cur, dt, f, t_abs, n_lag, mode, harmonics)
     return Autocorrelation(
         lags=np.arange(n_lag + 1) * dt,
         values=np.asarray(half[: n_lag + 1], dtype=float), variant=variant,
@@ -223,10 +248,14 @@ def _spectrum_grid(n_fft: int, dt: float) -> np.ndarray:
     return TWO_PI * np.fft.fftshift(np.fft.fftfreq(n_fft, dt))
 
 
-def _mirror_index(n_fft: int) -> np.ndarray:
-    """Index into the non-negative bins 0..n_fft//2 for every bin of the
-    shifted two-sided grid, for streams even in w."""
-    return np.abs(np.arange(n_fft) - n_fft // 2)
+def _mirror(row, n_fft: int) -> np.ndarray:
+    """A stream even in w, given on the non-negative bins 0..n_fft//2,
+    on every bin of the shifted two-sided grid."""
+    h = n_fft // 2
+    out = np.empty(n_fft, dtype=row.dtype)
+    out[:h + 1] = row[h::-1]
+    out[h + 1:] = row[1:n_fft - h]
+    return out
 
 
 def psd_from_autocorr(ac: Autocorrelation, window: str = "rect",
@@ -239,7 +268,7 @@ def psd_from_autocorr(ac: Autocorrelation, window: str = "rect",
     comparable bin by bin.
     """
     from scipy import fft as sfft
-    workers = resolve_workers(workers)
+    resolve_workers(workers)  # checked; the transform is 1-D
     n_keep = ac.values.size - 1
     if max_lag is not None:
         n_keep = min(int(round(max_lag / ac.dt)), n_keep)
@@ -251,7 +280,7 @@ def psd_from_autocorr(ac: Autocorrelation, window: str = "rect",
     full = np.zeros(ac.n_fft)
     full[: n_keep + 1] = half
     full[ac.n_fft - n_keep:] = half[1:][::-1]
-    row = np.fft.fftshift(ac.dt * np.real(sfft.fft(full, workers=workers)))
+    row = np.fft.fftshift(ac.dt * np.real(sfft.fft(full)))
     return Spectrum(freqs=_spectrum_grid(ac.n_fft, ac.dt), values=row,
                     meta={**ac.meta, "kind": "rhet", "variant": ac.variant,
                           "epsilon": ac.filter.epsilon, "window": window,
@@ -285,13 +314,22 @@ class _Moments:
             self.m2 = np.zeros((len(rows),) + self.mean.shape)
             return
         d_old = rows - self.mean
-        self.mean += d_old / self.count
-        d_new = rows - self.mean
+        step = np.divide(d_old, self.count)
+        self.mean += step
+        d_new = np.subtract(rows, self.mean, out=step)
         # one co-moment entry at a time, in place: no K x K x n temporary
+        prod = np.empty(self.mean.shape[1:])
         k = range(len(rows))
         for i in k:
             for j in k:
-                self.m2[i, j] += d_old[i] * d_new[j]
+                self.m2[i, j] += np.multiply(d_old[i], d_new[j], out=prod)
+
+    def row(self, k):
+        """The moments of row k alone, as views."""
+        one = _Moments()
+        one.count, one.mean = self.count, self.mean[k:k + 1]
+        one.m2 = self.m2[k:k + 1, k:k + 1]
+        return one
 
     def variance(self, a):
         """Variance of the mean of sum_k a_k row_k (for complex a the total,
@@ -317,10 +355,9 @@ def _combine(a, mean):
 def _two_sided(moments, a, n_fft):
     """Mean and variance of a . rows, mirrored from the non-negative bins
     onto the shifted two-sided grid."""
-    mirror = _mirror_index(n_fft)
     variance = moments.variance(a[0])
-    return (_combine(a, moments.mean)[0][mirror],
-            None if variance is None else variance[mirror])
+    return (_mirror(_combine(a, moments.mean)[0], n_fft),
+            None if variance is None else _mirror(variance, n_fft))
 
 
 def _quadrature_weights(epsilon, thetas) -> np.ndarray:
@@ -349,34 +386,61 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
                   workers) -> _Moments:
     """Moments of the (P0, Re G, Im G) rows over the segments of a trace,
     on the non-negative bins; see the module docstring. Memoised on the
-    trace, keyed on the segment count, the variant, the phase series object
-    and the worker count (results agree to the bit across worker counts;
-    keying on it keeps that checkable on one trace)."""
+    trace, keyed on the segment count, the variant, the phase series'
+    values (a series demodulated again finds the same entry) and the worker
+    count (results agree to the bit across worker counts; keying on it
+    keeps that checkable on one trace)."""
     from scipy import fft as sfft
-    key = (segments, variant, phase_correction, workers)
+    series = (None if phase_correction is None else
+              (phase_correction.times.tobytes(),
+               phase_correction.theta.tobytes()))
+    key = ("basis", segments, variant, series, workers)
     if key in trace._bases:
         return trace._bases[key]
     n, views = _segments(trace, segments)
     dt, om = trace.dt, trace.omega_beat
     dyn = _drift_offset(trace, phase_correction)
-    local = np.exp(-2j * om * (np.arange(n) * dt))
-    lag_phase = np.exp(1j * om * _signed_lags(n, dt))
+    t = np.arange(n) * dt
+    local = _cis((-2.0 * om) * t)
+    lag_phase = _cis(om * _signed_lags(n, dt))
     moments = _Moments()
     for t_off, seg in views:
-        half_d = (None if dyn is None
-                  else 0.5 * dyn.sample_at(np.arange(n) * dt + t_off))
-        x, y = _demod_pair(seg, local * np.exp(-2j * om * t_off), half_d)
-        fy = sfft.fft(y, workers=workers)
-        f_i = (fy[:n // 2 + 1] if dyn is None
-               else sfft.rfft(seg, workers=workers))
-        prod = np.conj(sfft.fft(x, workers=workers)) * fy
+        x, y = _demod_pair(seg, local * _cis((-2.0 * om) * t_off),
+                           None if dyn is None
+                           else 0.5 * dyn.sample_at(t + t_off))
+        fy = sfft.fft(y)
+        f_i = fy[:n // 2 + 1] if dyn is None else sfft.rfft(seg)
+        prod = sfft.fft(x, overwrite_x=True)
+        np.conj(prod, out=prod)
+        prod *= fy
         if variant == "tbar":
-            prod = sfft.fft(sfft.ifft(prod, workers=workers) * lag_phase,
-                            workers=workers)
-        g = (dt / n) * np.add(*_pairs(prod, n))
-        moments.add(np.stack(((dt / n) * np.abs(f_i) ** 2, g.real, g.imag)))
+            prod = sfft.ifft(prod, overwrite_x=True)
+            prod *= lag_phase
+            prod = sfft.fft(prod, overwrite_x=True)
+        g = _pair(np.add, prod, n)
+        g *= dt / n
+        rows = np.empty((3, g.size))
+        np.square(np.abs(f_i, out=rows[0]), out=rows[0])
+        rows[0] *= dt / n
+        rows[1], rows[2] = g.real, g.imag
+        moments.add(rows)
     trace._bases[key] = moments
     return moments
+
+
+def _segment_spectra(trace: TimeTrace, segments: int, workers) -> tuple:
+    """Plain rfft of each segment, read-only: the literal-filter route's
+    per-trace memo, keyed on the segment count and the worker count. It
+    holds 8n bytes for an n-sample trace, and only that route builds it."""
+    from scipy import fft as sfft
+    key = ("rfft", segments, workers)
+    if key not in trace._bases:
+        _, views = _segments(trace, segments)
+        spectra = tuple(sfft.rfft(seg) for _, seg in views)
+        for f_i in spectra:
+            f_i.flags.writeable = False
+        trace._bases[key] = spectra
+    return trace._bases[key]
 
 
 def standard_psd(trace: TimeTrace, segments: int = 1, window: str = "boxcar",
@@ -384,19 +448,28 @@ def standard_psd(trace: TimeTrace, segments: int = 1, window: str = "boxcar",
     """Plain Welch PSD, two-sided, segment-averaged:
     S = mean_s dt/N |FFT(w * i_s)|^2 / (sum w^2 / N).
     window "boxcar" or "hann". Variance is the across-segment sample
-    variance of the mean (ddof=1, divided by the segment count).
+    variance of the mean (ddof=1, divided by the segment count). With the
+    boxcar window, a stream basis the trace already holds for the same
+    segments gives it: its P0 row is the same periodogram, bit for bit.
     """
     from scipy import fft as sfft
-    workers = resolve_workers(workers)
+    resolve_workers(workers)  # checked; every transform here is 1-D
     n_seg, views = _segments(trace, segments)
     if window not in ("boxcar", "hann"):
         raise ValueError("window must be 'boxcar' or 'hann'")
-    w = np.hanning(n_seg) if window == "hann" else np.ones(n_seg)
-    scale = trace.dt / float(np.sum(w * w))
-    moments = _Moments()
-    for _, seg in views:
-        spec = sfft.rfft(w * seg, workers=workers)
-        moments.add(scale * np.abs(spec[None]) ** 2)
+    moments = None
+    if window == "boxcar":
+        moments = next((m.row(0) for key, m in trace._bases.items()
+                        if key[:2] == ("basis", segments)), None)
+    if moments is None:
+        w = np.hanning(n_seg) if window == "hann" else np.ones(n_seg)
+        scale = trace.dt / float(np.sum(w * w))
+        moments = _Moments()
+        for _, seg in views:
+            p = np.abs(sfft.rfft(w * seg)[None])
+            np.square(p, out=p)
+            p *= scale
+            moments.add(p)
     values, variance = _two_sided(moments, np.ones((1, 1)), n_seg)
     return Spectrum(freqs=_spectrum_grid(n_seg, trace.dt), values=values,
                     variance=variance,
@@ -441,18 +514,25 @@ def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
         values, variance = moments.mean[0], moments.variance((1.0,))
     else:
         a = np.ones((1, 1))
-        if variant == "tbar" and filter_coefficients(epsilon, 1) != 0.0:
+        plain = filter_coefficients(epsilon, 1) == 0.0  # eps = +1: F = 1
+        if variant == "tbar" and not plain:
             moments = _stream_basis(trace, segments, variant,
                                     phase_correction, workers)
             a = _quadrature_weights(epsilon, [theta])
         else:
             # t0, or eps = +1: both variants are the plain periodogram there
-            for t_off, seg in views:
-                t_abs = np.arange(n_fft) * dt + t_off
-                fw = sfft.rfft(eval_filter(fspec, t_abs) * seg,
-                               workers=workers)
-                moments.add((dt / n_fft) * np.real(
-                    np.conj(fw) * sfft.rfft(seg, workers=workers))[None])
+            t = np.arange(n_fft) * dt
+            spectra = _segment_spectra(trace, segments, workers)
+            for (t_off, seg), f_i in zip(views, spectra):
+                if plain:
+                    prod = np.conj(f_i)
+                else:
+                    fw = eval_filter(fspec, t + t_off)
+                    fw *= seg
+                    prod = sfft.rfft(fw)
+                    np.conj(prod, out=prod)
+                prod *= f_i
+                moments.add(np.multiply(prod.real, dt / n_fft)[None])
         values, variance = _two_sided(moments, a, n_fft)
     return Spectrum(
         freqs=_spectrum_grid(n_fft, dt), values=values, variance=variance,
@@ -476,15 +556,17 @@ def complex_corr_spectrum(trace: TimeTrace, omega_beat: Optional[float] = None,
     is the total (real plus imaginary) across-segment variance of the mean.
     """
     from scipy import fft as sfft
-    workers = resolve_workers(workers)
+    resolve_workers(workers)  # checked; every transform here is 1-D
     om = trace.omega_beat if omega_beat is None else float(omega_beat)
     n_seg, views = _segments(trace, segments)
-    local = np.exp(-1j * om * (np.arange(n_seg) * trace.dt))
+    local = _cis((-om) * (np.arange(n_seg) * trace.dt))
     moments = _Moments()
     for t_off, seg in views:
-        fv = sfft.fft(seg * (local * np.exp(-1j * om * t_off)),
-                      workers=workers)
-        c = (trace.dt / n_seg) * np.conj(np.multiply(*_pairs(fv, n_seg)))
+        v = local * _cis((-om) * t_off)
+        v *= seg
+        c = _pair(np.multiply, sfft.fft(v, overwrite_x=True), n_seg)
+        np.conj(c, out=c)
+        c *= trace.dt / n_seg
         moments.add(np.stack((c.real, c.imag)))
     values, variance = _two_sided(moments, np.array([[1.0, 1j]]), n_seg)
     return Spectrum(freqs=_spectrum_grid(n_seg, trace.dt), values=values,

@@ -18,9 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .core import FilterSpec, PhaseSeries, Spectrum, ThetaMap, TimeTrace
-from .estimator import (_combine, _mirror_index, _quadrature_weights,
-                        _segments, _spectrum_grid, _stream_basis,
-                        rhet_spectrum)
+from .estimator import (_combine, _quadrature_weights, _segments,
+                        _spectrum_grid, _stream_basis, rhet_spectrum)
 from .parallel import resolve_workers
 
 
@@ -77,8 +76,9 @@ def theta_map_fast(trace: TimeTrace, epsilon: float, n_theta: int = 800,
     thetas = _theta_grid(n_theta)
     n_seg, freqs, mask = _map_grid(trace, segments, band)
     basis = _stream_basis(trace, segments, variant, phase_correction, workers)
-    rows = _combine(_quadrature_weights(epsilon, thetas),
-                    basis.mean[:, _mirror_index(n_seg)[mask]])
+    # the non-negative bin of each in-band column (the streams are even in w)
+    cols = np.abs(np.arange(n_seg) - n_seg // 2)[mask]
+    rows = _combine(_quadrature_weights(epsilon, thetas), basis.mean[:, cols])
     return ThetaMap(thetas=thetas, freqs=freqs, spectra=rows,
                     meta={"variant": variant, "epsilon": float(epsilon),
                           "segments": segments, "path": "fast"})

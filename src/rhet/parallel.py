@@ -1,9 +1,10 @@
 """Worker-count plumbing shared by the estimator and the mapper.
 
-All heavy lifting is batched FFT work, so parallelism is delegated to the
-scipy.fft worker pool. Output is bit-identical for any worker count: each
-transform in a batch is computed independently and every reduction
-downstream runs in a fixed order.
+The worker count is checked and keys the estimator's per-trace memos, but
+it starts no threads: every transform is a 1-D FFT, and scipy.fft spreads
+only a batch of transforms over its workers (a 156 250-point complex FFT
+takes 6.8 ms at workers=1 and at workers=2 on a 2-CPU host, median of 100
+interleaved runs). Output is therefore bit-identical for any worker count.
 """
 from __future__ import annotations
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from rhet import (FilterSpec, PhaseSeries, correct_and_estimate, eval_filter,
                   filter_coefficients, filtered_autocorr,
                   complex_corr_spectrum, psd_from_autocorr, rhet_spectrum,
-                  standard_psd)
+                  standard_psd, synth_gaussian_trace, theta_map_fast)
 from rhet.core import TWO_PI, TimeTrace
 from rhet.parallel import resolve_workers
 
@@ -281,6 +281,120 @@ def test_memo_keys_on_segments_and_phase_series(short_trace):
         memo = rhet_spectrum(trace, -1.0, 0.3, **kw)
         fresh = rhet_spectrum(_fresh(short_trace), -1.0, 0.3, **kw)
         assert np.array_equal(memo.values, fresh.values)
+
+
+def _no_rfft(monkeypatch):
+    """Make any real FFT fail, to show a result came from a memo."""
+    import scipy.fft
+
+    def fail(*args, **kwargs):
+        raise AssertionError("rfft called")
+    monkeypatch.setattr(scipy.fft, "rfft", fail)
+
+
+def _drift_series(trace):
+    ts = np.linspace(0.0, trace.duration, 64)
+    return PhaseSeries(times=ts, theta=0.3 * np.sin(12.0 * ts))
+
+
+@pytest.mark.parametrize("basis", ["static", "drift", "t0"])
+@pytest.mark.parametrize("n", [4 * 4096, 4 * 4095])
+def test_welch_from_a_stream_basis_is_bit_identical(short_trace, monkeypatch,
+                                                    basis, n):
+    trace = TimeTrace(samples=short_trace.samples[:n].copy(),
+                      dt=short_trace.dt, omega_beat=short_trace.omega_beat)
+    if basis == "t0":
+        theta_map_fast(trace, -1.0, n_theta=4, variant="t0", segments=4)
+    else:
+        rhet_spectrum(trace, -1.0, 0.3, segments=4, phase_correction=(
+            _drift_series(trace) if basis == "drift" else None))
+    want = standard_psd(_fresh(trace), segments=4)
+    _no_rfft(monkeypatch)
+    got = standard_psd(trace, segments=4)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.variance.tobytes() == want.variance.tobytes()
+
+
+def test_segment_spectrum_memo_keys_and_contract(short_trace, monkeypatch):
+    trace = _fresh(short_trace)
+    rhet_spectrum(trace, -1.0, 0.3, variant="t0", segments=4)
+    spectra = trace._bases[("rfft", 4, 1)]
+    assert len(trace._bases) == 1 and len(spectra) == 4
+    assert sum(f.nbytes for f in spectra) == 4 * 16 * (trace.n // 8 + 1)
+    for f in spectra:
+        assert not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[0] = 0.0
+    rhet_spectrum(trace, 0.2, 1.1, variant="t0", segments=4)
+    assert len(trace._bases) == 1
+    rhet_spectrum(trace, -1.0, 0.3, variant="t0", segments=8)
+    rhet_spectrum(trace, -1.0, 0.3, variant="t0", segments=4, workers=2)
+    assert {("rfft", 8, 1), ("rfft", 4, 2)} <= set(trace._bases)
+    # eps = +1 takes nothing but the memo, for either variant
+    _no_rfft(monkeypatch)
+    for variant in ("tbar", "t0"):
+        rhet_spectrum(trace, 1.0, 0.3, variant=variant, segments=4)
+    assert len(trace._bases) == 3
+
+
+def _welford(rows):
+    """Mean and variance of the mean in the estimator's update order."""
+    mean, m2 = rows[0].copy(), np.zeros_like(rows[0])
+    for k, row in enumerate(rows[1:], start=2):
+        d_old = row - mean
+        mean += d_old / k
+        m2 += d_old * (row - mean)
+    return mean, np.maximum(m2, 0.0) / (len(rows) * (len(rows) - 1))
+
+
+@pytest.mark.parametrize("variant, eps", [("t0", -1.0), ("t0", 0.4),
+                                          ("t0", 1.0), ("tbar", 1.0)])
+@pytest.mark.parametrize("drift", [False, True])
+def test_literal_filter_spectra_follow_their_formula_bit_for_bit(
+        short_trace, variant, eps, drift):
+    # per segment dt/N Re[conj(rfft(F i)) rfft(i)], Welford-averaged and
+    # mirrored by index
+    from scipy import fft as sfft
+    trace, seg_n, dt = _fresh(short_trace), short_trace.n // 4, short_trace.dt
+    series = _drift_series(trace) if drift else None
+    f = FilterSpec(epsilon=eps, omega_beat=trace.omega_beat,
+                   phase_offset=2 * 0.6, dynamic_offset=None if series is None
+                   else PhaseSeries(times=series.times, theta=-2 * series.theta))
+    rows = []
+    for s in range(4):
+        seg = trace.samples[s * seg_n:(s + 1) * seg_n]
+        fw = sfft.rfft(eval_filter(f, np.arange(seg_n) * dt + s * seg_n * dt)
+                       * seg)
+        rows.append((dt / seg_n) * np.real(np.conj(fw) * sfft.rfft(seg)))
+    mean, var = _welford(rows)
+    mirror = np.abs(np.arange(seg_n) - seg_n // 2)
+    for _ in range(2):  # building the memo, then reading it
+        spec = rhet_spectrum(trace, eps, 0.6, variant=variant, segments=4,
+                             phase_correction=series)
+        assert spec.values.tobytes() == mean[mirror].tobytes()
+        assert spec.variance.tobytes() == var[mirror].tobytes()
+
+
+def test_cis_is_within_an_ulp_of_complex_exp():
+    from rhet.estimator import _cis
+    om, dt = TWO_PI * 1.0e4, 2e-7
+    for x in ((-2.0 * om) * (np.arange(156_250) * dt),
+              np.linspace(-1e4, 1e4, 100_001), np.array([0.0, -0.0, 1e300])):
+        z, ref = _cis(x), np.exp(1j * x)
+        np.testing.assert_array_max_ulp(z.real, ref.real, maxulp=1)
+        np.testing.assert_array_max_ulp(z.imag, ref.imag, maxulp=1)
+    assert _cis(0.7).shape == ()
+
+
+def test_basis_memo_keys_on_the_phase_series_values(thermal_cfg):
+    # each call demodulates again: equal values, distinct series objects
+    trace = synth_gaussian_trace(thermal_cfg, 0.05, 2e-7, seed=3,
+                                 pilot_amplitude=2500.0)
+    specs = [correct_and_estimate(trace, None, -1.0, 0.2, segments=2)
+             for _ in range(3)]
+    assert len(trace._bases) == 1
+    assert len({(s.values.tobytes(), s.variance.tobytes())
+                for s in specs}) == 1
 
 
 def test_trace_samples_and_phase_series_are_read_only(short_trace):

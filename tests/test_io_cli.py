@@ -377,14 +377,30 @@ def test_cli_rejects_segment_counts_below_one(cli_ws, capsys, cmd, segments):
      "filter phase must be finite"),
     (["map", "--epsilon", "2"], "epsilon must lie in [-1, 1]"),
     (["map", "--epsilon", "nan"], "epsilon must lie in [-1, 1]"),
+    (["analytic", "--kind", "rhet", "--theta", "nan"],
+     "filter phase must be finite"),
+    (["analytic", "--kind", "rhet", "--epsilon", "2"],
+     "epsilon must lie in [-1, 1]"),
+    # a signed infinity is a value, not an unknown flag
+    (["spectrum", "--theta", "-inf"], "filter phase must be finite"),
 ])
 def test_cli_rejects_bad_filter_parameters(cli_ws, capsys, argv, message):
     out = cli_ws / "bad_filter.csv"
-    rc = main(argv + ["--in", str(cli_ws / "trace.rht"), "--out", str(out),
-                      "--segments", "8"])
+    source = (["--config", str(cli_ws / "config.json")]
+              if argv[0] == "analytic"
+              else ["--in", str(cli_ws / "trace.rht"), "--segments", "8"])
+    rc = main(argv + source + ["--out", str(out)])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_reads_a_negative_exponent_value_after_a_flag(cli_ws):
+    out = cli_ws / "tiny_epsilon.csv"
+    rc = main(["spectrum", "--in", str(cli_ws / "trace.rht"), "--out",
+               str(out), "--segments", "8", "--epsilon", "-1e-05"])
+    assert rc == 0
+    assert read_spectrum(out).meta["epsilon"] == -1e-05
 
 
 @pytest.fixture(scope="module")
