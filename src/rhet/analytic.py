@@ -195,8 +195,7 @@ def filter_coefficients(epsilon: float, k):
 
 
 def rhet_prediction(fs: FieldSpectra, omega_beat: float, theta: float,
-                    epsilon: float, variant: str = "tbar",
-                    include_harmonics: bool = False) -> Spectrum:
+                    epsilon: float, variant: str = "tbar") -> Spectrum:
     """Expected filtered spectrum.
 
     tbar:  c0 S_het(w) + 2 c1 Re[e^{-2i theta} s_aa(w)]
@@ -207,10 +206,8 @@ def rhet_prediction(fs: FieldSpectra, omega_beat: float, theta: float,
     with an estimate from a trace recorded at LO phase theta0 and filtered
     with phase parameter theta_f, pass theta = theta_f + theta0.
 
-    include_harmonics keeps the k >= 3 filter harmonics in the sum. They
-    demodulate current content at 2k Om, which a stationary field does not
-    have, so their expected contribution is identically zero; the flag
-    exists for symmetry with the estimator and does not change the result.
+    The filter harmonics k >= 3 demodulate current content at 2k Om,
+    which a stationary field does not have, so they contribute nothing.
     """
     if variant not in ("t0", "tbar"):
         raise ValueError("variant must be 't0' or 'tbar'")
@@ -226,7 +223,6 @@ def rhet_prediction(fs: FieldSpectra, omega_beat: float, theta: float,
         _, up = _values_at(fs, fs.freqs - omega_beat)
         _, dn = _values_at(fs, -fs.freqs - omega_beat)
         corr = c1 * (np.real(rot * up) + np.real(rot * dn))
-    del include_harmonics  # expectation of k >= 3 terms vanishes; see docstring
     vals = c0 * het + corr
     return Spectrum(freqs=fs.freqs, values=vals,
                     meta={"kind": "rhet_prediction", "variant": variant,

@@ -51,7 +51,6 @@ import numpy as np
 
 from .analytic import filter_coefficients
 from .core import TWO_PI, FilterSpec, PhaseSeries, Spectrum, TimeTrace
-from .parallel import resolve_workers
 
 
 @dataclass(eq=False)
@@ -91,27 +90,14 @@ def eval_filter(f: FilterSpec, t) -> np.ndarray:
     return psi
 
 
-def _xcorr(x, y, nf):
-    """Circular cross-correlation sum_n conj(x_n) y_{n+m} on nf points,
-    zero-padding x and y when nf exceeds their length."""
+def _xcorr(x, y):
+    """Circular cross-correlation sum_n conj(x_n) y_{n+m}."""
     from scipy import fft as sfft
     if np.isrealobj(x) and np.isrealobj(y):
-        fx = sfft.rfft(x, nf)
-        return sfft.irfft(np.conj(fx) * sfft.rfft(y, nf), n=nf)
-    fx = sfft.fft(x, nf)
-    return sfft.ifft(np.conj(fx) * sfft.fft(y, nf))
-
-
-def _xcorr_lin(x, y, n, n_lag):
-    """Zero-padded (linear) cross-correlation, lags -n_lag..n_lag.
-
-    Returns (pos, neg): pos[m] = sum_n conj(x_n) y_{n+m}, m = 0..n_lag, and
-    neg[m] the same at lag -m.
-    """
-    from scipy import fft as sfft
-    nf = sfft.next_fast_len(n + n_lag + 1)
-    raw = _xcorr(x, y, nf)
-    return raw[: n_lag + 1], np.concatenate((raw[:1], raw[nf - n_lag:][::-1]))
+        fx = sfft.rfft(x)
+        return sfft.irfft(np.conj(fx) * sfft.rfft(y), n=x.size)
+    fx = sfft.fft(x)
+    return sfft.ifft(np.conj(fx) * sfft.fft(y))
 
 
 def _signed_lags(n, dt):
@@ -141,8 +127,8 @@ def _pair(op, a, n):
 
 def _demod_pair(cur, phasor, half_d):
     """Pair (x, y) = (phasor e^{i half_d} i, e^{-i half_d} i) whose
-    cross-correlation carries one filter harmonic; half_d = k d(t)/2, or
-    None for a static filter (y is then the real current itself). x is
+    cross-correlation carries the filter's fundamental; half_d = d(t)/2,
+    or None for a static filter (y is then the real current itself). x is
     formed in place in phasor."""
     if half_d is None:
         phasor *= cur
@@ -155,61 +141,39 @@ def _demod_pair(cur, phasor, half_d):
     return phasor, h
 
 
-def _tbar_half(cur, dt, f, t_abs, n_lag, mode, harmonics):
-    """tbar autocorrelation via harmonic streams, already symmetrized."""
+def _tbar_half(cur, dt, f, t_abs):
+    """tbar autocorrelation from the filter's mean and its fundamental's
+    stream pair, already symmetrized."""
     n = cur.size
-    c0 = filter_coefficients(f.epsilon, 0)
-    d = None if f.dynamic_offset is None else f.dynamic_offset.sample_at(t_abs)
-    if mode == "circular":
-        acc = c0 * _xcorr(cur, cur, n)
-        tau = _signed_lags(n, dt)
-    else:
-        pos0, neg0 = _xcorr_lin(cur, cur, n, n_lag)
-        acc = c0 * 0.5 * (pos0 + neg0)
-        tau = np.arange(n_lag + 1) * dt
-    for k in range(1, harmonics + 1, 2):
-        ck = filter_coefficients(f.epsilon, k)
-        if ck == 0.0:
-            continue
-        x, y = _demod_pair(cur, np.exp(-1j * k * 2.0 * f.omega_beat * t_abs),
-                           None if d is None else 0.5 * k * d)
-        ck_rot = ck * np.exp(-1j * k * f.phase_offset)
-        rot = ck_rot * np.exp(1j * k * f.omega_beat * tau)
-        if mode == "circular":
-            acc = acc + 2.0 * np.real(rot * _xcorr(x, y, n))
-        else:
-            pos, neg = _xcorr_lin(x, y, n, n_lag)
-            acc = acc + (np.real(rot * pos) + np.real(
-                ck_rot * np.exp(-1j * k * f.omega_beat * tau) * neg))
-    if mode == "circular":
-        return 0.5 * _pair(np.add, acc / n, n)
-    return acc / n
+    acc = filter_coefficients(f.epsilon, 0) * _xcorr(cur, cur)
+    c1 = filter_coefficients(f.epsilon, 1)
+    if c1 != 0.0:
+        x, y = _demod_pair(cur, np.exp(-1j * 2.0 * f.omega_beat * t_abs),
+                           None if f.dynamic_offset is None
+                           else 0.5 * f.dynamic_offset.sample_at(t_abs))
+        rot = c1 * np.exp(-1j * f.phase_offset) * np.exp(
+            1j * f.omega_beat * _signed_lags(n, dt))
+        acc = acc + 2.0 * np.real(rot * _xcorr(x, y))
+    return 0.5 * _pair(np.add, acc / n, n)
 
 
 def filtered_autocorr(trace: TimeTrace, f: FilterSpec,
                       max_lag: Optional[float] = None, variant: str = "tbar",
-                      mode: str = "circular", t_offset: float = 0.0,
-                      harmonics: int = 1, workers=None) -> Autocorrelation:
-    """Filtered autocorrelation of a trace (or of one segment of one:
-    t_offset is the absolute start time, which keeps the filter phase global
-    across segments).
+                      t_offset: float = 0.0) -> Autocorrelation:
+    """Circular filtered autocorrelation of a trace (or of one segment of
+    one: t_offset is the absolute start time, which keeps the filter phase
+    global across segments).
 
     max_lag is in seconds; None keeps the full circular range n//2 (the
     default: spectra built from truncated lags trade variance for bias, and
-    the exact identities hold only on the full range). mode "circular" uses
-    the seam-wrapped estimator, "linear" the zero-padded one normalized by
-    1/N (biased but seam-free). harmonics is the highest odd filter
-    harmonic kept by tbar; terms beyond k = 1 add noise, not signal.
+    the exact identities hold only on the full range). tbar keeps the
+    filter's mean and fundamental, the only terms that stationary input
+    correlates with; t0 uses the literal filter samples.
     """
     if variant not in ("t0", "tbar"):
         raise ValueError("variant must be 't0' or 'tbar'")
-    if mode not in ("circular", "linear"):
-        raise ValueError("mode must be 'circular' or 'linear'")
     if abs(f.omega_beat - trace.omega_beat) > 1e-9 * trace.omega_beat:
         raise ValueError("filter and trace disagree on omega_beat")
-    if harmonics < 1:
-        raise ValueError("harmonics must be >= 1")
-    resolve_workers(workers)  # checked; every transform here is 1-D
     n, dt = trace.n, trace.dt
     n_lag = n // 2
     if max_lag is not None:
@@ -220,19 +184,13 @@ def filtered_autocorr(trace: TimeTrace, f: FilterSpec,
     cur = trace.samples
     if variant == "t0":
         w = eval_filter(f, t_abs) * cur
-        if mode == "circular":
-            half = 0.5 * _pair(np.add, _xcorr(w, cur, n) / n, n)
-        else:
-            pos, neg = _xcorr_lin(w, cur, n, n_lag)
-            half = 0.5 * (pos + neg) / n
+        half = 0.5 * _pair(np.add, _xcorr(w, cur) / n, n)
     else:
-        half = _tbar_half(cur, dt, f, t_abs, n_lag, mode, harmonics)
+        half = _tbar_half(cur, dt, f, t_abs)
     return Autocorrelation(
         lags=np.arange(n_lag + 1) * dt,
         values=np.asarray(half[: n_lag + 1], dtype=float), variant=variant,
-        filter=f, dt=dt, n_fft=n,
-        meta={"mode": mode, "t_offset": float(t_offset),
-              "harmonics": int(harmonics)})
+        filter=f, dt=dt, n_fft=n, meta={"t_offset": float(t_offset)})
 
 
 def _lag_window(name: str, n_keep: int) -> np.ndarray:
@@ -259,8 +217,7 @@ def _mirror(row, n_fft: int) -> np.ndarray:
 
 
 def psd_from_autocorr(ac: Autocorrelation, window: str = "rect",
-                      max_lag: Optional[float] = None,
-                      workers=None) -> Spectrum:
+                      max_lag: Optional[float] = None) -> Spectrum:
     """Two-sided PSD from a symmetrized autocorrelation:
     S = dt * Re FFT of the circularly-even extension, optionally truncated
     to max_lag with a lag window. The grid keeps the full n_fft resolution
@@ -268,7 +225,6 @@ def psd_from_autocorr(ac: Autocorrelation, window: str = "rect",
     comparable bin by bin.
     """
     from scipy import fft as sfft
-    resolve_workers(workers)  # checked; the transform is 1-D
     n_keep = ac.values.size - 1
     if max_lag is not None:
         n_keep = min(int(round(max_lag / ac.dt)), n_keep)
@@ -382,19 +338,16 @@ def _drift_offset(trace: TimeTrace,
 
 
 def _stream_basis(trace: TimeTrace, segments: int, variant: str,
-                  phase_correction: Optional[PhaseSeries],
-                  workers) -> _Moments:
+                  phase_correction: Optional[PhaseSeries]) -> _Moments:
     """Moments of the (P0, Re G, Im G) rows over the segments of a trace,
     on the non-negative bins; see the module docstring. Memoised on the
-    trace, keyed on the segment count, the variant, the phase series'
-    values (a series demodulated again finds the same entry) and the worker
-    count (results agree to the bit across worker counts; keying on it
-    keeps that checkable on one trace)."""
+    trace, keyed on the segment count, the variant and the phase series'
+    values (a series demodulated again finds the same entry)."""
     from scipy import fft as sfft
     series = (None if phase_correction is None else
               (phase_correction.times.tobytes(),
                phase_correction.theta.tobytes()))
-    key = ("basis", segments, variant, series, workers)
+    key = ("basis", segments, variant, series)
     if key in trace._bases:
         return trace._bases[key]
     n, views = _segments(trace, segments)
@@ -428,12 +381,12 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
     return moments
 
 
-def _segment_spectra(trace: TimeTrace, segments: int, workers) -> tuple:
+def _segment_spectra(trace: TimeTrace, segments: int) -> tuple:
     """Plain rfft of each segment, read-only: the literal-filter route's
-    per-trace memo, keyed on the segment count and the worker count. It
-    holds 8n bytes for an n-sample trace, and only that route builds it."""
+    per-trace memo, keyed on the segment count. It holds 8n bytes for an
+    n-sample trace, and only that route builds it."""
     from scipy import fft as sfft
-    key = ("rfft", segments, workers)
+    key = ("rfft", segments)
     if key not in trace._bases:
         _, views = _segments(trace, segments)
         spectra = tuple(sfft.rfft(seg) for _, seg in views)
@@ -443,8 +396,8 @@ def _segment_spectra(trace: TimeTrace, segments: int, workers) -> tuple:
     return trace._bases[key]
 
 
-def standard_psd(trace: TimeTrace, segments: int = 1, window: str = "boxcar",
-                 workers=None) -> Spectrum:
+def standard_psd(trace: TimeTrace, segments: int = 1,
+                 window: str = "boxcar") -> Spectrum:
     """Plain Welch PSD, two-sided, segment-averaged:
     S = mean_s dt/N |FFT(w * i_s)|^2 / (sum w^2 / N).
     window "boxcar" or "hann". Variance is the across-segment sample
@@ -453,7 +406,6 @@ def standard_psd(trace: TimeTrace, segments: int = 1, window: str = "boxcar",
     segments gives it: its P0 row is the same periodogram, bit for bit.
     """
     from scipy import fft as sfft
-    resolve_workers(workers)  # checked; every transform here is 1-D
     n_seg, views = _segments(trace, segments)
     if window not in ("boxcar", "hann"):
         raise ValueError("window must be 'boxcar' or 'hann'")
@@ -480,8 +432,7 @@ def standard_psd(trace: TimeTrace, segments: int = 1, window: str = "boxcar",
 def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
                   variant: str = "tbar", segments: int = 1,
                   max_lag: Optional[float] = None, window: str = "rect",
-                  phase_correction: Optional[PhaseSeries] = None,
-                  workers=None) -> Spectrum:
+                  phase_correction: Optional[PhaseSeries] = None) -> Spectrum:
     """Filtered spectrum of a trace: segment-averaged PSD of the filtered
     autocorrelation with filter phase offset phi0 = 2*theta.
 
@@ -497,7 +448,6 @@ def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
     from scipy import fft as sfft
     if variant not in ("t0", "tbar"):
         raise ValueError("variant must be 't0' or 'tbar'")
-    workers = resolve_workers(workers)
     fspec = FilterSpec(epsilon=epsilon, omega_beat=trace.omega_beat,
                        phase_offset=2.0 * theta,
                        dynamic_offset=_drift_offset(trace, phase_correction))
@@ -508,21 +458,20 @@ def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
         for t_off, seg in views:
             ac = filtered_autocorr(replace(trace, samples=seg), fspec,
                                    max_lag=max_lag, variant=variant,
-                                   t_offset=t_off, workers=workers)
-            moments.add(psd_from_autocorr(ac, window, max_lag,
-                                          workers).values[None])
+                                   t_offset=t_off)
+            moments.add(psd_from_autocorr(ac, window, max_lag).values[None])
         values, variance = moments.mean[0], moments.variance((1.0,))
     else:
         a = np.ones((1, 1))
         plain = filter_coefficients(epsilon, 1) == 0.0  # eps = +1: F = 1
         if variant == "tbar" and not plain:
             moments = _stream_basis(trace, segments, variant,
-                                    phase_correction, workers)
+                                    phase_correction)
             a = _quadrature_weights(epsilon, [theta])
         else:
             # t0, or eps = +1: both variants are the plain periodogram there
             t = np.arange(n_fft) * dt
-            spectra = _segment_spectra(trace, segments, workers)
+            spectra = _segment_spectra(trace, segments)
             for (t_off, seg), f_i in zip(views, spectra):
                 if plain:
                     prod = np.conj(f_i)
@@ -543,7 +492,7 @@ def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
 
 
 def complex_corr_spectrum(trace: TimeTrace, omega_beat: Optional[float] = None,
-                          segments: int = 1, workers=None) -> Spectrum:
+                          segments: int = 1) -> Spectrum:
     """Cross-spectrum between the down- and up-rotated currents:
 
         C(w) = (dt/N) conj(FFT[i e^{-i Om t}]) FFT[i e^{+i Om t}]
@@ -556,7 +505,6 @@ def complex_corr_spectrum(trace: TimeTrace, omega_beat: Optional[float] = None,
     is the total (real plus imaginary) across-segment variance of the mean.
     """
     from scipy import fft as sfft
-    resolve_workers(workers)  # checked; every transform here is 1-D
     om = trace.omega_beat if omega_beat is None else float(omega_beat)
     n_seg, views = _segments(trace, segments)
     local = _cis((-om) * (np.arange(n_seg) * trace.dt))

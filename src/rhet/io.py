@@ -21,6 +21,7 @@ All writers are atomic: temp file in the target directory, then rename.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -258,11 +259,23 @@ def write_spectrum(path, spec: Spectrum) -> None:
     _atomic_write(path, _write, binary=False)
 
 
-def read_spectrum(path) -> Spectrum:
-    with open(path, "r") as fh:
-        first = fh.readline()
-        if not first.startswith("# rhet spectrum"):
-            raise TraceFormatError(f"{path}: not a spectrum file")
+@contextlib.contextmanager
+def _malformed(path, what: str):
+    """Raise a TypeError or ValueError of the block as TraceFormatError."""
+    try:
+        yield
+    except (TypeError, ValueError) as e:
+        raise TraceFormatError(f"{path}: malformed {what} ({e})") from e
+
+
+def _read_table(path, magic: str, what: str):
+    """(metadata, header fields, float table) of a CSV file that starts
+    with `magic`. '# key = value' lines anywhere are metadata, other '#'
+    lines comments; the first remaining line is the header, every later
+    one a row of as many fields."""
+    with _malformed(path, what), open(path, "r") as fh:
+        if not fh.readline().startswith(magic):
+            raise TraceFormatError(f"{path}: not a {what} file")
         lines = [line.strip() for line in fh.read().splitlines()]
     meta = {}
     for line in lines:
@@ -279,16 +292,21 @@ def read_spectrum(path) -> Spectrum:
     fields = ",".join(rows[1:]).split(",")
     if "" in fields:
         fields = [x or "nan" for x in fields]
-    mat = np.array(fields, dtype=float).reshape(-1, len(header))
-    freqs = mat[:, 0] * TWO_PI
-    if "re" in header:
-        values = mat[:, header.index("re")] + 1j * mat[:, header.index("im")]
-    else:
-        values = mat[:, header.index("value")]
-    variance = None
-    if "stderr" in header:
-        variance = mat[:, header.index("stderr")] ** 2
-    return Spectrum(freqs=freqs, values=values, variance=variance, meta=meta)
+    with _malformed(path, what):
+        table = np.array(fields, dtype=float)
+    return meta, header, table.reshape(-1, len(header))
+
+
+def read_spectrum(path) -> Spectrum:
+    meta, header, table = _read_table(path, "# rhet spectrum", "spectrum")
+    with _malformed(path, "spectrum"):
+        values = (table[:, header.index("re")]
+                  + 1j * table[:, header.index("im")] if "re" in header
+                  else table[:, header.index("value")])
+        variance = (table[:, header.index("stderr")] ** 2
+                    if "stderr" in header else None)
+        return Spectrum(freqs=table[:, 0] * TWO_PI, values=values,
+                        variance=variance, meta=meta)
 
 
 # ------------------------------------------------------------------ maps
@@ -320,43 +338,19 @@ def read_map(path) -> ThetaMap:
     with open(path, "rb") as fh:
         magic = fh.read(2)
     if magic == b"PK":  # zip container: npz
-        with np.load(path, allow_pickle=False) as z:
+        with np.load(path, allow_pickle=False) as z, _malformed(path, "map"):
             return ThetaMap(
                 thetas=z["thetas"], freqs=z["freqs_hz"] * TWO_PI,
                 spectra=z["spectra"],
                 normalization=float(z["normalization"]),
                 meta=json.loads(str(z["meta"])))
-    meta = {}
-    norm = 1.0
-    header = None
-    thetas = []
-    rows = []
-    with open(path, "r") as fh:
-        first = fh.readline()
-        if not first.startswith("# rhet theta map"):
-            raise TraceFormatError(f"{path}: not a map file")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                key = key.strip()
-                if key == "normalization":
-                    norm = float(val)
-                elif val:
-                    meta[key] = _parse_meta_value(val)
-                continue
-            parts = line.split(",")
-            if header is None:
-                header = np.array([float(x) for x in parts[1:]]) * TWO_PI
-                continue
-            thetas.append(float(parts[0]))
-            rows.append([float(x) for x in parts[1:]])
-    if header is None or not rows:
-        raise TraceFormatError(f"{path}: no data rows")
-    return ThetaMap(thetas=np.array(thetas), freqs=header,
-                    spectra=np.array(rows), normalization=norm, meta=meta)
+    meta, header, table = _read_table(path, "# rhet theta map", "map")
+    with _malformed(path, "map"):
+        return ThetaMap(thetas=table[:, 0],
+                        freqs=np.array(header[1:], dtype=float) * TWO_PI,
+                        spectra=table[:, 1:],
+                        normalization=float(meta.pop("normalization", 1.0)),
+                        meta=meta)
 
 
 # ------------------------------------------------------------- comparison

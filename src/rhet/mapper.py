@@ -54,11 +54,13 @@ def theta_map_exact(trace: TimeTrace, epsilon: float, n_theta: int = 800,
                     band=None, phase_correction: Optional[PhaseSeries] = None,
                     workers=None) -> ThetaMap:
     """Reference map: one rhet_spectrum call per theta row."""
+    resolve_workers(workers)  # checked; no thread runs yet
     thetas = _theta_grid(n_theta)
     _, freqs, mask = _map_grid(trace, segments, band)
     rows = [rhet_spectrum(trace, epsilon, th, variant=variant,
-                          segments=segments, phase_correction=phase_correction,
-                          workers=workers).values[mask] for th in thetas]
+                          segments=segments,
+                          phase_correction=phase_correction).values[mask]
+            for th in thetas]
     return ThetaMap(thetas=thetas, freqs=freqs, spectra=np.array(rows),
                     meta={"variant": variant, "epsilon": float(epsilon),
                           "segments": segments, "path": "exact"})
@@ -72,10 +74,10 @@ def theta_map_fast(trace: TimeTrace, epsilon: float, n_theta: int = 800,
     if variant not in ("t0", "tbar"):
         raise ValueError("variant must be 't0' or 'tbar'")
     FilterSpec(epsilon=epsilon, omega_beat=trace.omega_beat)  # checks epsilon
-    workers = resolve_workers(workers)
+    resolve_workers(workers)  # checked; no thread runs yet
     thetas = _theta_grid(n_theta)
     n_seg, freqs, mask = _map_grid(trace, segments, band)
-    basis = _stream_basis(trace, segments, variant, phase_correction, workers)
+    basis = _stream_basis(trace, segments, variant, phase_correction)
     # the non-negative bin of each in-band column (the streams are even in w)
     cols = np.abs(np.arange(n_seg) - n_seg // 2)[mask]
     rows = _combine(_quadrature_weights(epsilon, thetas), basis.mean[:, cols])

@@ -1,10 +1,11 @@
-"""Worker-count plumbing shared by the estimator and the mapper.
+"""Worker-count plumbing of the two map functions.
 
-The worker count is checked and keys the estimator's per-trace memos, but
-it starts no threads: every transform is a 1-D FFT, and scipy.fft spreads
-only a batch of transforms over its workers (a 156 250-point complex FFT
-takes 6.8 ms at workers=1 and at workers=2 on a 2-CPU host, median of 100
-interleaved runs). Output is therefore bit-identical for any worker count.
+theta_map_fast and theta_map_exact are the only functions that take
+`workers`. It is checked, but it starts no threads and keys no memo: every
+transform is a 1-D FFT, and scipy.fft spreads only a batch of transforms
+over its workers (a 156 250-point complex FFT takes 6.8 ms at workers=1
+and at workers=2 on a 2-CPU host, median of 100 interleaved runs). Output
+is therefore bit-identical for any worker count.
 """
 from __future__ import annotations
 

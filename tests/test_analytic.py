@@ -196,16 +196,6 @@ def test_prediction_at_eps_plus_one_is_plain_heterodyne(thermal_cfg):
             1e-14 * np.max(het.values)
 
 
-def test_prediction_harmonics_flag_is_a_noop(thermal_cfg):
-    nu = TWO_PI * np.linspace(330e3, 430e3, 501)
-    fs = field_spectra(thermal_cfg, nu)
-    a = rhet_prediction(fs, thermal_cfg.omega_beat, 0.4, -1.0, variant="t0",
-                        include_harmonics=False)
-    b = rhet_prediction(fs, thermal_cfg.omega_beat, 0.4, -1.0, variant="t0",
-                        include_harmonics=True)
-    assert np.array_equal(a.values, b.values)
-
-
 def test_prediction_tbar_structure(thermal_cfg):
     # at eps=-1 the heterodyne part cancels and only the rotated anomalous
     # term with weight 2*c1 survives

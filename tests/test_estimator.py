@@ -2,8 +2,8 @@
 
 The filtered autocorrelation carries the whole method, so it gets direct
 double-sum oracles: the FFT/rotation algebra must reproduce a brute-force
-evaluation of the defining sums sample by sample, for both variants, both
-lag modes, and with a drifting filter phase.
+evaluation of the defining sums sample by sample, for both variants and
+with a drifting filter phase.
 """
 import numpy as np
 import pytest
@@ -76,37 +76,21 @@ def _brute_t0_circular(trace, f):
     return out
 
 
-def _brute_t0_linear(trace, f, n_lag):
-    n = trace.n
-    w = eval_filter(f, trace.times()) * trace.samples
-    cur = trace.samples
-    out = np.empty(n_lag + 1)
-    for m in range(n_lag + 1):
-        pos = np.dot(w[: n - m], cur[m:])
-        neg = np.dot(w[m:], cur[: n - m])
-        out[m] = 0.5 * (pos + neg) / n
-    return out
+def _kernel(f, t_mid):
+    """Filter kernel at the midpoint times: the square wave's mean c0 plus
+    its fundamental."""
+    return filter_coefficients(f.epsilon, 0) + 2.0 * filter_coefficients(
+        f.epsilon, 1) * np.cos(2.0 * f.omega_beat * t_mid - f.phase_offset)
 
 
-def _kernel(f, t_mid, harmonics):
-    """Truncated filter kernel at the midpoint times: c0 plus the kept odd
-    harmonics of the square wave."""
-    acc = np.full(t_mid.shape, filter_coefficients(f.epsilon, 0))
-    for k in range(1, harmonics + 1, 2):
-        ck = filter_coefficients(f.epsilon, k)
-        acc += 2.0 * ck * np.cos(k * (2.0 * f.omega_beat * t_mid
-                                      - f.phase_offset))
-    return acc
-
-
-def _brute_tbar_circular(trace, f, harmonics):
+def _brute_tbar_circular(trace, f):
     n = trace.n
     t = trace.times()
     cur = trace.samples
     full = np.empty(n)
     for m in range(n):
         tau = (m if m <= n // 2 else m - n) * trace.dt
-        full[m] = np.mean(_kernel(f, t + 0.5 * tau, harmonics)
+        full[m] = np.mean(_kernel(f, t + 0.5 * tau)
                           * cur * np.roll(cur, -m))
     half = n // 2
     out = full[: half + 1].copy()
@@ -114,59 +98,20 @@ def _brute_tbar_circular(trace, f, harmonics):
     return out
 
 
-def _brute_tbar_linear(trace, f, n_lag, harmonics):
-    n = trace.n
-    t = trace.times()
-    cur = trace.samples
-    out = np.empty(n_lag + 1)
-    for m in range(n_lag + 1):
-        tau = m * trace.dt
-        kp = _kernel(f, t[: n - m] + 0.5 * tau, harmonics)
-        kn = _kernel(f, t[m:] - 0.5 * tau, harmonics)
-        pos = np.dot(kp * cur[: n - m], cur[m:])
-        neg = np.dot(kn * cur[m:], cur[: n - m])
-        out[m] = 0.5 * (pos + neg) / n
-    return out
-
-
 @pytest.mark.parametrize("eps", [-1.0, 0.3])
 def test_t0_autocorr_matches_brute_circular(noise_trace, eps):
     f = FilterSpec(epsilon=eps, omega_beat=OMEGA, phase_offset=0.8)
-    ac = filtered_autocorr(noise_trace, f, variant="t0", mode="circular")
+    ac = filtered_autocorr(noise_trace, f, variant="t0")
     brute = _brute_t0_circular(noise_trace, f)
     assert ac.values.shape == brute.shape
     assert np.max(np.abs(ac.values - brute)) < 1e-10
 
 
 @pytest.mark.parametrize("eps", [-1.0, 0.3])
-def test_t0_autocorr_matches_brute_linear(noise_trace, eps):
+def test_tbar_autocorr_matches_brute_circular(noise_trace, eps):
     f = FilterSpec(epsilon=eps, omega_beat=OMEGA, phase_offset=0.8)
-    n_lag = 48
-    max_lag = (n_lag + 0.4) * noise_trace.dt
-    ac = filtered_autocorr(noise_trace, f, variant="t0", mode="linear",
-                           max_lag=max_lag)
-    brute = _brute_t0_linear(noise_trace, f, n_lag)
-    assert ac.values.shape == brute.shape
-    assert np.max(np.abs(ac.values - brute)) < 1e-10
-
-
-@pytest.mark.parametrize("eps,harm", [(-1.0, 1), (0.3, 1), (-1.0, 5)])
-def test_tbar_autocorr_matches_brute_circular(noise_trace, eps, harm):
-    f = FilterSpec(epsilon=eps, omega_beat=OMEGA, phase_offset=0.8)
-    ac = filtered_autocorr(noise_trace, f, variant="tbar", mode="circular",
-                           harmonics=harm)
-    brute = _brute_tbar_circular(noise_trace, f, harm)
-    assert np.max(np.abs(ac.values - brute)) < 1e-10
-
-
-@pytest.mark.parametrize("eps,harm", [(-1.0, 1), (0.3, 5)])
-def test_tbar_autocorr_matches_brute_linear(noise_trace, eps, harm):
-    f = FilterSpec(epsilon=eps, omega_beat=OMEGA, phase_offset=0.8)
-    n_lag = 48
-    ac = filtered_autocorr(noise_trace, f, variant="tbar", mode="linear",
-                           max_lag=(n_lag + 0.4) * noise_trace.dt,
-                           harmonics=harm)
-    brute = _brute_tbar_linear(noise_trace, f, n_lag, harm)
+    ac = filtered_autocorr(noise_trace, f, variant="tbar")
+    brute = _brute_tbar_circular(noise_trace, f)
     assert np.max(np.abs(ac.values - brute)) < 1e-10
 
 
@@ -179,7 +124,7 @@ def test_tbar_autocorr_with_drift_matches_brute(noise_trace):
                        theta=0.3 * np.sin(np.linspace(0.0, 4.0, 32)))
     f = FilterSpec(epsilon=-1.0, omega_beat=OMEGA, phase_offset=0.8,
                    dynamic_offset=dser)
-    ac = filtered_autocorr(noise_trace, f, variant="tbar", mode="circular")
+    ac = filtered_autocorr(noise_trace, f, variant="tbar")
     d = dser.sample_at(t)
     cur = noise_trace.samples
     ck = filter_coefficients(-1.0, 1)
@@ -318,7 +263,7 @@ def test_welch_from_a_stream_basis_is_bit_identical(short_trace, monkeypatch,
 def test_segment_spectrum_memo_keys_and_contract(short_trace, monkeypatch):
     trace = _fresh(short_trace)
     rhet_spectrum(trace, -1.0, 0.3, variant="t0", segments=4)
-    spectra = trace._bases[("rfft", 4, 1)]
+    spectra = trace._bases[("rfft", 4)]
     assert len(trace._bases) == 1 and len(spectra) == 4
     assert sum(f.nbytes for f in spectra) == 4 * 16 * (trace.n // 8 + 1)
     for f in spectra:
@@ -328,13 +273,13 @@ def test_segment_spectrum_memo_keys_and_contract(short_trace, monkeypatch):
     rhet_spectrum(trace, 0.2, 1.1, variant="t0", segments=4)
     assert len(trace._bases) == 1
     rhet_spectrum(trace, -1.0, 0.3, variant="t0", segments=8)
-    rhet_spectrum(trace, -1.0, 0.3, variant="t0", segments=4, workers=2)
-    assert {("rfft", 8, 1), ("rfft", 4, 2)} <= set(trace._bases)
+    assert set(trace._bases) == {("rfft", 4), ("rfft", 8)}
+    assert len(trace._bases[("rfft", 8)]) == 8
     # eps = +1 takes nothing but the memo, for either variant
     _no_rfft(monkeypatch)
     for variant in ("tbar", "t0"):
         rhet_spectrum(trace, 1.0, 0.3, variant=variant, segments=4)
-    assert len(trace._bases) == 3
+    assert len(trace._bases) == 2
 
 
 def _welford(rows):
@@ -409,7 +354,7 @@ def test_max_lag_and_windows(noise_trace):
     f = FilterSpec(epsilon=0.0, omega_beat=OMEGA)
     n_lag = 100
     ac = filtered_autocorr(noise_trace, f, variant="t0",
-                           max_lag=n_lag * noise_trace.dt, mode="linear")
+                           max_lag=n_lag * noise_trace.dt)
     assert ac.lags.size == n_lag + 1
     assert ac.lags[-1] == pytest.approx(n_lag * noise_trace.dt)
     # truncated spectra keep the full grid
@@ -437,12 +382,6 @@ def test_filter_trace_omega_mismatch_raises(noise_trace):
     f = FilterSpec(epsilon=0.0, omega_beat=1.5 * OMEGA)
     with pytest.raises(ValueError):
         filtered_autocorr(noise_trace, f)
-
-
-def test_worker_count_does_not_change_results(short_trace):
-    a = rhet_spectrum(short_trace, -0.5, 0.4, segments=4, workers=1)
-    b = rhet_spectrum(short_trace, -0.5, 0.4, segments=4, workers=2)
-    assert np.array_equal(a.values, b.values)
 
 
 def test_resolve_workers_env_cap(monkeypatch):

@@ -14,7 +14,7 @@ from rhet import (ConfigError, GridError, PhaseDriftSpec, Spectrum, ThetaMap,
                   synth_gaussian_trace, theta_map_fast, write_config,
                   write_map, write_spectrum, write_trace)
 from rhet.cli import main
-from rhet.core import TWO_PI
+from rhet.core import TWO_PI, TimeTrace
 from rhet.io import config_from_dict, config_to_dict
 from rhet.mapper import peak_amplitude
 
@@ -186,6 +186,25 @@ def test_spectrum_reader_rejects_foreign_files(tmp_path):
     p3.write_text("# rhet spectrum v1\nfreq_hz,value\n1,2\n3,4,5\n6\n")
     with pytest.raises(TraceFormatError, match="ragged"):
         read_spectrum(p3)
+    for name, text, message in (
+            ("word.csv", "freq_hz,value\n1,2\n3,abc\n", "could not convert"),
+            ("novalue.csv", "freq_hz,stderr\n1,2\n", "'value'"),
+            ("noim.csv", "freq_hz,re\n1,2\n", "'im'"),
+            ("descending.csv", "freq_hz,value\n3,1\n1,2\n", "ascending"),
+            ("stderr.csv", "freq_hz,value,stderr\n1,2\n", "ragged")):
+        p4 = tmp_path / name
+        p4.write_text("# rhet spectrum v1\n# kind = 'x'\n" + text)
+        with pytest.raises(TraceFormatError, match=message):
+            read_spectrum(p4)
+    with pytest.raises(TraceFormatError, match="spectrum"):
+        read_spectrum(_binary_trace(tmp_path))
+
+
+def _binary_trace(tmp_path):
+    p = tmp_path / "t.rht"
+    write_trace(p, TimeTrace(samples=np.linspace(-1.0, 1.0, 64), dt=1e-6,
+                             omega_beat=1e4))
+    return p
 
 
 def test_spectrum_reader_reads_empty_fields_as_nan(tmp_path):
@@ -257,6 +276,31 @@ def test_map_roundtrip(tmp_path, fmt):
     assert back.normalization == m.normalization
     assert back.meta["variant"] == "t0"
     assert back.meta["path"] == "fast"
+
+
+def test_map_reader_rejects_foreign_files(tmp_path):
+    head = "# rhet theta map v1\n# normalization = 2\n"
+    for name, text, message in (
+            ("x.csv", "hello,world\n1,2\n", "not a map"),
+            ("empty.csv", head + "theta_rad,1,2\n", "no data"),
+            ("ragged.csv", head + "theta_rad,1,2\n0,1,2\n0.5,1\n", "ragged"),
+            ("word.csv", head + "theta_rad,1,2\n0,1,abc\n", "convert"),
+            ("freqs.csv", head + "theta_rad,1,x\n0,1,2\n", "convert"),
+            ("norm.csv", "# rhet theta map v1\n# normalization = 0\n"
+             "theta_rad,1,2\n0,1,2\n", "normalization"),
+            ("normword.csv", "# rhet theta map v1\n# normalization = 'a'\n"
+             "theta_rad,1,2\n0,1,2\n", "malformed map")):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(TraceFormatError, match=message):
+            read_map(p)
+    with pytest.raises(TraceFormatError, match="map"):
+        read_map(_binary_trace(tmp_path))
+    p = tmp_path / "ok.csv"
+    p.write_text(head + "theta_rad,1,2\n# a comment\n0,1,\n")
+    m = read_map(p)
+    assert m.normalization == 2.0 and isinstance(m.normalization, float)
+    assert np.array_equal(m.spectra, [[1.0, np.nan]], equal_nan=True)
 
 
 def test_map_writer_rejects_unknown_format(tmp_path):
@@ -596,6 +640,9 @@ def test_cli_compare_pass_fail_and_disjoint(cli_ws, tmp_path):
     assert main(["compare", "--a", str(het), "--b", str(off)]) == 1
     assert main(["compare", "--a", str(het), "--b", str(het),
                  "--band", "2000000:3000000"]) == 2
+    # a file that is no spectrum is an I/O error
+    assert main(["compare", "--a", str(cli_ws / "trace.rht"),
+                 "--b", str(het)]) == 3
 
 
 def test_cli_version_prints_and_exits():

@@ -6,7 +6,7 @@ import pytest
 from rhet import (GridError, Spectrum, ThetaMap, normalize_map,
                   peak_amplitude, peak_location, standard_psd,
                   theta_map_exact, theta_map_fast, zero_contour)
-from rhet.core import TWO_PI
+from rhet.core import TWO_PI, TimeTrace
 
 
 def _band(cfg):
@@ -133,6 +133,16 @@ def test_map_workers_bit_identical(short_trace):
     b = theta_map_fast(short_trace, -1.0, n_theta=16, segments=4, band=band,
                        workers=4)
     assert np.array_equal(a.spectra, b.spectra)
+
+
+def test_map_worker_counts_share_one_stream_basis(short_trace):
+    # the basis starts no threads, so the worker count must not key it
+    trace = TimeTrace(samples=short_trace.samples.copy(), dt=short_trace.dt,
+                      omega_beat=short_trace.omega_beat)
+    maps = [theta_map_fast(trace, -1.0, n_theta=8, segments=4, workers=w)
+            for w in (1, 8)]
+    assert [key[0] for key in trace._bases] == ["basis"]
+    assert maps[0].spectra.tobytes() == maps[1].spectra.tobytes()
 
 
 @pytest.mark.parametrize("epsilon", [2.0, -1.5, np.nan])
