@@ -99,7 +99,7 @@ def _build_parser():
     s.add_argument("--normalize", choices=("none", "het"), default="none",
                    help="het: scale so the heterodyne peak in --band reads 1")
     s.add_argument("--format", choices=("csv", "npz"), default="csv")
-    s.add_argument("--workers", type=int, default=None)
+    s.add_argument("--workers", type=int, default=1)
 
     s = sub.add_parser("analytic", help="closed-form reference spectra")
     s.add_argument("--config", required=True)

@@ -2,8 +2,7 @@
 
 Every other module passes these objects around. They are plain dataclasses;
 array payloads are treated as immutable by convention: nothing in the package
-mutates a trace, spectrum, or map after construction, which is also the
-concurrency contract (parallel workers only ever read them).
+mutates a trace's samples, a spectrum, or a map after construction.
 
 Units: angular frequencies (rad/s) everywhere in memory. File formats use Hz
 and convert on the way in/out (see rhet.io).

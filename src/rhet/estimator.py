@@ -39,8 +39,6 @@ max_lag or a lag window goes through filtered_autocorr, also the
 independent reference the engine is tested against; it stores lags 0..n/2,
 circularly-even symmetrized. All spectra are two-sided on ascending
 angular-frequency grids, S = dt * Re FFT(A), so sum(S) dw = 2 pi A(0).
-Functions that transform import scipy.fft themselves, so a process that
-runs none (rhet analytic, rhet compare) starts without it.
 """
 from __future__ import annotations
 
@@ -90,14 +88,35 @@ def eval_filter(f: FilterSpec, t) -> np.ndarray:
     return psi
 
 
+def _in_place(transform, a):
+    """transform(a) written over the complex array a; NumPy < 2.0 has no
+    out= and returns a new array (the caller's a is then left as it was)."""
+    try:
+        return transform(a, out=a)
+    except TypeError:
+        return transform(a)
+
+
+def _fft(a):
+    """FFT of a 1-d array; a complex a is transformed in place. A real
+    one's is its rfft plus the conjugate mirror, at a third of the cost of
+    a complex transform of it (whose bits can differ in the last ulp)."""
+    if np.iscomplexobj(a):
+        return _in_place(np.fft.fft, a)
+    n, h = a.size, a.size // 2 + 1
+    out = np.empty(n, dtype=complex)
+    out[:h] = np.fft.rfft(a)
+    np.conjugate(out[n - h:0:-1], out=out[h:])
+    return out
+
+
 def _xcorr(x, y):
-    """Circular cross-correlation sum_n conj(x_n) y_{n+m}."""
-    from scipy import fft as sfft
+    """Circular cross-correlation sum_n conj(x_n) y_{n+m}; complex x and y
+    are overwritten."""
     if np.isrealobj(x) and np.isrealobj(y):
-        fx = sfft.rfft(x)
-        return sfft.irfft(np.conj(fx) * sfft.rfft(y), n=x.size)
-    fx = sfft.fft(x)
-    return sfft.ifft(np.conj(fx) * sfft.fft(y))
+        fx = np.fft.rfft(x)
+        return np.fft.irfft(np.conj(fx) * np.fft.rfft(y), n=x.size)
+    return np.fft.ifft(np.conj(_fft(x)) * _fft(y))
 
 
 def _signed_lags(n, dt):
@@ -224,7 +243,6 @@ def psd_from_autocorr(ac: Autocorrelation, window: str = "rect",
     regardless of truncation, so spectra at different max_lag stay
     comparable bin by bin.
     """
-    from scipy import fft as sfft
     n_keep = ac.values.size - 1
     if max_lag is not None:
         n_keep = min(int(round(max_lag / ac.dt)), n_keep)
@@ -236,7 +254,8 @@ def psd_from_autocorr(ac: Autocorrelation, window: str = "rect",
     full = np.zeros(ac.n_fft)
     full[: n_keep + 1] = half
     full[ac.n_fft - n_keep:] = half[1:][::-1]
-    row = np.fft.fftshift(ac.dt * np.real(sfft.fft(full)))
+    # full is circularly even: its FFT is real and even, so the rfft holds it
+    row = _mirror(ac.dt * np.fft.rfft(full).real, ac.n_fft)
     return Spectrum(freqs=_spectrum_grid(ac.n_fft, ac.dt), values=row,
                     meta={**ac.meta, "kind": "rhet", "variant": ac.variant,
                           "epsilon": ac.filter.epsilon, "window": window,
@@ -343,7 +362,6 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
     on the non-negative bins; see the module docstring. Memoised on the
     trace, keyed on the segment count, the variant and the phase series'
     values (a series demodulated again finds the same entry)."""
-    from scipy import fft as sfft
     series = (None if phase_correction is None else
               (phase_correction.times.tobytes(),
                phase_correction.theta.tobytes()))
@@ -361,15 +379,15 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
         x, y = _demod_pair(seg, local * _cis((-2.0 * om) * t_off),
                            None if dyn is None
                            else 0.5 * dyn.sample_at(t + t_off))
-        fy = sfft.fft(y)
-        f_i = fy[:n // 2 + 1] if dyn is None else sfft.rfft(seg)
-        prod = sfft.fft(x, overwrite_x=True)
+        fy = _fft(y)
+        f_i = fy[:n // 2 + 1] if dyn is None else np.fft.rfft(seg)
+        prod = _in_place(np.fft.fft, x)
         np.conj(prod, out=prod)
         prod *= fy
         if variant == "tbar":
-            prod = sfft.ifft(prod, overwrite_x=True)
+            prod = _in_place(np.fft.ifft, prod)
             prod *= lag_phase
-            prod = sfft.fft(prod, overwrite_x=True)
+            prod = _in_place(np.fft.fft, prod)
         g = _pair(np.add, prod, n)
         g *= dt / n
         rows = np.empty((3, g.size))
@@ -385,11 +403,10 @@ def _segment_spectra(trace: TimeTrace, segments: int) -> tuple:
     """Plain rfft of each segment, read-only: the literal-filter route's
     per-trace memo, keyed on the segment count. It holds 8n bytes for an
     n-sample trace, and only that route builds it."""
-    from scipy import fft as sfft
     key = ("rfft", segments)
     if key not in trace._bases:
         _, views = _segments(trace, segments)
-        spectra = tuple(sfft.rfft(seg) for _, seg in views)
+        spectra = tuple(np.fft.rfft(seg) for _, seg in views)
         for f_i in spectra:
             f_i.flags.writeable = False
         trace._bases[key] = spectra
@@ -405,7 +422,6 @@ def standard_psd(trace: TimeTrace, segments: int = 1,
     boxcar window, a stream basis the trace already holds for the same
     segments gives it: its P0 row is the same periodogram, bit for bit.
     """
-    from scipy import fft as sfft
     n_seg, views = _segments(trace, segments)
     if window not in ("boxcar", "hann"):
         raise ValueError("window must be 'boxcar' or 'hann'")
@@ -418,7 +434,7 @@ def standard_psd(trace: TimeTrace, segments: int = 1,
         scale = trace.dt / float(np.sum(w * w))
         moments = _Moments()
         for _, seg in views:
-            p = np.abs(sfft.rfft(w * seg)[None])
+            p = np.abs(np.fft.rfft(w * seg)[None])
             np.square(p, out=p)
             p *= scale
             moments.add(p)
@@ -445,7 +461,6 @@ def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
     the same F(t) as an unsegmented run, so segment averages converge to the
     same expectation. The module docstring gives the three routes.
     """
-    from scipy import fft as sfft
     if variant not in ("t0", "tbar"):
         raise ValueError("variant must be 't0' or 'tbar'")
     fspec = FilterSpec(epsilon=epsilon, omega_beat=trace.omega_beat,
@@ -478,7 +493,7 @@ def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
                 else:
                     fw = eval_filter(fspec, t + t_off)
                     fw *= seg
-                    prod = sfft.rfft(fw)
+                    prod = np.fft.rfft(fw)
                     np.conj(prod, out=prod)
                 prod *= f_i
                 moments.add(np.multiply(prod.real, dt / n_fft)[None])
@@ -504,7 +519,6 @@ def complex_corr_spectrum(trace: TimeTrace, omega_beat: Optional[float] = None,
     from one transform per segment. Returned values are complex; variance
     is the total (real plus imaginary) across-segment variance of the mean.
     """
-    from scipy import fft as sfft
     om = trace.omega_beat if omega_beat is None else float(omega_beat)
     n_seg, views = _segments(trace, segments)
     local = _cis((-om) * (np.arange(n_seg) * trace.dt))
@@ -512,7 +526,7 @@ def complex_corr_spectrum(trace: TimeTrace, omega_beat: Optional[float] = None,
     for t_off, seg in views:
         v = local * _cis((-om) * t_off)
         v *= seg
-        c = _pair(np.multiply, sfft.fft(v, overwrite_x=True), n_seg)
+        c = _pair(np.multiply, _in_place(np.fft.fft, v), n_seg)
         np.conj(c, out=c)
         c *= trace.dt / n_seg
         moments.add(np.stack((c.real, c.imag)))

@@ -26,6 +26,7 @@ import json
 import os
 import struct
 import tempfile
+import zipfile
 
 import numpy as np
 
@@ -227,6 +228,8 @@ def _meta_lines(meta: dict):
 def _parse_meta_value(text: str):
     import ast
     text = text.strip()
+    if text in ("inf", "-inf", "nan"):  # repr of a non-finite float
+        return float(text)
     try:
         v = ast.literal_eval(text)
         if v is None or isinstance(v, (bool, int, float, str)):
@@ -261,10 +264,11 @@ def write_spectrum(path, spec: Spectrum) -> None:
 
 @contextlib.contextmanager
 def _malformed(path, what: str):
-    """Raise a TypeError or ValueError of the block as TraceFormatError."""
+    """Raise a TypeError, ValueError, KeyError or BadZipFile of the block
+    as TraceFormatError."""
     try:
         yield
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, KeyError, zipfile.BadZipFile) as e:
         raise TraceFormatError(f"{path}: malformed {what} ({e})") from e
 
 
@@ -338,7 +342,7 @@ def read_map(path) -> ThetaMap:
     with open(path, "rb") as fh:
         magic = fh.read(2)
     if magic == b"PK":  # zip container: npz
-        with np.load(path, allow_pickle=False) as z, _malformed(path, "map"):
+        with _malformed(path, "map"), np.load(path, allow_pickle=False) as z:
             return ThetaMap(
                 thetas=z["thetas"], freqs=z["freqs_hz"] * TWO_PI,
                 spectra=z["spectra"],

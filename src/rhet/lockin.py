@@ -31,8 +31,6 @@ def _baseband(spec, n, k_per_rad, omega, bandwidth_hz, m):
     e^{i(omega_k0 - omega) t} then restores the exact beat, so an off-grid
     beat loses nothing.
     """
-    from scipy import fft as sfft
-
     k0 = int(round(omega * k_per_rad))
     k = k0 + np.arange(-(m // 2), m - m // 2)
     # bins outside [0, n/2] are the mirrored conjugates of a real signal
@@ -42,7 +40,7 @@ def _baseband(spec, n, k_per_rad, omega, bandwidth_hz, m):
     x[neg] = np.conj(x[neg])
     df_hz = (k / k_per_rad - omega) / TWO_PI
     x *= (2.0 / n) / (1.0 + (df_hz / bandwidth_hz) ** 8)
-    z = sfft.ifft(np.roll(x, -(m // 2)), norm="forward")
+    z = np.fft.ifft(np.roll(x, -(m // 2)), norm="forward")
     # sample p sits at t = p n dt / m, so the bin offset costs a phase
     # (k0 - omega k_per_rad) 2 pi p / m
     return z * np.exp(1j * TWO_PI * (k0 - omega * k_per_rad) * np.arange(m) / m)
@@ -56,21 +54,19 @@ def demodulate(trace: TimeTrace, omega_beat: Optional[float] = None,
     4th-order Butterworth low-pass of the given bandwidth, run forward and
     backward: |H|^2 = 1/(1 + (df/bandwidth)^8), zero phase. The filter acts
     on the bins of one real FFT of the trace, so the record is treated as
-    periodic and nothing runs at the full sample rate (scipy.signal is not
-    needed). The output has m = round(n/step) points spread evenly over the
-    record, step being roughly 8 samples per filter time constant; when
-    step divides n this is the times()[::step] grid. The returned series
-    is the unwrapped angle, so theta_hat includes the constant LO phase
-    plus drift. Where the record wraps round, the filter mixes its two
-    ends; about 3/bandwidth is trimmed from each end so the first sample is
-    a safe anchor for drift correction.
+    periodic and nothing runs at the full sample rate. The output has
+    m = round(n/step) points spread evenly over the record, step being
+    roughly 8 samples per filter time constant; when step divides n this
+    is the times()[::step] grid. The returned series is the unwrapped
+    angle, so theta_hat includes the constant LO phase plus drift. Where
+    the record wraps round, the filter mixes its two ends; about
+    3/bandwidth is trimmed from each end so the first sample is a safe
+    anchor for drift correction.
 
     Raises ValueError("beat note not detected") when the beat-band envelope
     does not exceed a control band (offset by 5 kHz) by 10x in RMS over the
     interior of the record, or when both bands are empty.
     """
-    from scipy import fft as sfft
-
     om = trace.omega_beat if omega_beat is None else float(omega_beat)
     fs = 1.0 / trace.dt
     if not (0 < bandwidth_hz < om / TWO_PI / 4.0):
@@ -80,7 +76,7 @@ def demodulate(trace: TimeTrace, omega_beat: Optional[float] = None,
     m = int(round(n / step))
     if m < 2:
         raise ValueError("trace too short for the lock-in bandwidth")
-    spec = sfft.rfft(trace.samples)
+    spec = np.fft.rfft(trace.samples)
     k_per_rad = trace.duration / TWO_PI
     z = _baseband(spec, n, k_per_rad, om, bandwidth_hz, m)
     zc = _baseband(spec, n, k_per_rad, om + TWO_PI * _CONTROL_OFFSET_HZ,

@@ -20,7 +20,6 @@ import numpy as np
 from .core import FilterSpec, PhaseSeries, Spectrum, ThetaMap, TimeTrace
 from .estimator import (_combine, _quadrature_weights, _segments,
                         _spectrum_grid, _stream_basis, rhet_spectrum)
-from .parallel import resolve_workers
 
 
 def _theta_grid(n_theta: int) -> np.ndarray:
@@ -52,9 +51,10 @@ def _map_grid(trace: TimeTrace, segments: int, band):
 def theta_map_exact(trace: TimeTrace, epsilon: float, n_theta: int = 800,
                     variant: str = "tbar", segments: int = 1,
                     band=None, phase_correction: Optional[PhaseSeries] = None,
-                    workers=None) -> ThetaMap:
+                    workers: int = 1) -> ThetaMap:
     """Reference map: one rhet_spectrum call per theta row."""
-    resolve_workers(workers)  # checked; no thread runs yet
+    if workers < 1:  # checked; no thread runs yet
+        raise ValueError("workers must be >= 1")
     thetas = _theta_grid(n_theta)
     _, freqs, mask = _map_grid(trace, segments, band)
     rows = [rhet_spectrum(trace, epsilon, th, variant=variant,
@@ -69,12 +69,13 @@ def theta_map_exact(trace: TimeTrace, epsilon: float, n_theta: int = 800,
 def theta_map_fast(trace: TimeTrace, epsilon: float, n_theta: int = 800,
                    variant: str = "tbar", segments: int = 1,
                    band=None, phase_correction: Optional[PhaseSeries] = None,
-                   workers=None) -> ThetaMap:
+                   workers: int = 1) -> ThetaMap:
     """Stream-synthesized map; see module docstring for the contract."""
     if variant not in ("t0", "tbar"):
         raise ValueError("variant must be 't0' or 'tbar'")
     FilterSpec(epsilon=epsilon, omega_beat=trace.omega_beat)  # checks epsilon
-    resolve_workers(workers)  # checked; no thread runs yet
+    if workers < 1:  # checked; no thread runs yet
+        raise ValueError("workers must be >= 1")
     thetas = _theta_grid(n_theta)
     n_seg, freqs, mask = _map_grid(trace, segments, band)
     basis = _stream_basis(trace, segments, variant, phase_correction)

@@ -31,6 +31,7 @@ import numpy as np
 from .analytic import _model_rows
 from .core import (TWO_PI, ConfigError, ExperimentConfig, PhaseSeries,
                    TimeTrace, validate_config)
+from .estimator import _in_place
 
 
 def phase_drift(t, theta0: float, amplitude: float, freq_hz: float) -> np.ndarray:
@@ -116,10 +117,7 @@ def _draw_field(cfg: ExperimentConfig, n: int, dt: float,
     z[:n // 2 + 1] *= l11
     # a(t_j) = sum_k z_k e^{-i nu_k t_j}: the forward FFT implements the
     # e^{-i} kernel on the fftfreq layout
-    try:
-        return np.fft.fft(z, out=z)
-    except TypeError:  # NumPy < 2.0 has no out=; the result takes 16n bytes
-        return np.fft.fft(z)
+    return _in_place(np.fft.fft, z)
 
 
 def synth_gaussian_trace(cfg: ExperimentConfig, duration: float, dt: float,

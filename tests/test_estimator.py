@@ -15,7 +15,6 @@ from rhet import (FilterSpec, PhaseSeries, correct_and_estimate, eval_filter,
                   complex_corr_spectrum, psd_from_autocorr, rhet_spectrum,
                   standard_psd, synth_gaussian_trace, theta_map_fast)
 from rhet.core import TWO_PI, TimeTrace
-from rhet.parallel import resolve_workers
 
 OMEGA = TWO_PI * 1.0e4
 
@@ -230,11 +229,9 @@ def test_memo_keys_on_segments_and_phase_series(short_trace):
 
 def _no_rfft(monkeypatch):
     """Make any real FFT fail, to show a result came from a memo."""
-    import scipy.fft
-
     def fail(*args, **kwargs):
         raise AssertionError("rfft called")
-    monkeypatch.setattr(scipy.fft, "rfft", fail)
+    monkeypatch.setattr(np.fft, "rfft", fail)
 
 
 def _drift_series(trace):
@@ -299,7 +296,6 @@ def test_literal_filter_spectra_follow_their_formula_bit_for_bit(
         short_trace, variant, eps, drift):
     # per segment dt/N Re[conj(rfft(F i)) rfft(i)], Welford-averaged and
     # mirrored by index
-    from scipy import fft as sfft
     trace, seg_n, dt = _fresh(short_trace), short_trace.n // 4, short_trace.dt
     series = _drift_series(trace) if drift else None
     f = FilterSpec(epsilon=eps, omega_beat=trace.omega_beat,
@@ -308,9 +304,9 @@ def test_literal_filter_spectra_follow_their_formula_bit_for_bit(
     rows = []
     for s in range(4):
         seg = trace.samples[s * seg_n:(s + 1) * seg_n]
-        fw = sfft.rfft(eval_filter(f, np.arange(seg_n) * dt + s * seg_n * dt)
-                       * seg)
-        rows.append((dt / seg_n) * np.real(np.conj(fw) * sfft.rfft(seg)))
+        fw = np.fft.rfft(eval_filter(f, np.arange(seg_n) * dt
+                                     + s * seg_n * dt) * seg)
+        rows.append((dt / seg_n) * np.real(np.conj(fw) * np.fft.rfft(seg)))
     mean, var = _welford(rows)
     mirror = np.abs(np.arange(seg_n) - seg_n // 2)
     for _ in range(2):  # building the memo, then reading it
@@ -382,22 +378,6 @@ def test_filter_trace_omega_mismatch_raises(noise_trace):
     f = FilterSpec(epsilon=0.0, omega_beat=1.5 * OMEGA)
     with pytest.raises(ValueError):
         filtered_autocorr(noise_trace, f)
-
-
-def test_resolve_workers_env_cap(monkeypatch):
-    monkeypatch.delenv("RHET_THREADS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(8) == 8
-    monkeypatch.setenv("RHET_THREADS", "2")
-    assert resolve_workers(None) == 2
-    assert resolve_workers(8) == 2
-    assert resolve_workers(1) == 1
-    monkeypatch.setenv("RHET_THREADS", "0")
-    with pytest.raises(ValueError):
-        resolve_workers(None)
-    monkeypatch.delenv("RHET_THREADS")
-    with pytest.raises(ValueError):
-        resolve_workers(0)
 
 
 def test_phase_correction_plumbs_through(short_trace):

@@ -161,6 +161,13 @@ def test_spectrum_csv_roundtrip_real(tmp_path):
     assert back.meta["segments"] == 4
     assert back.meta["corrected"] is False
     assert back.meta["max_lag"] is None
+    # repr writes non-finite floats unquoted; a quoted 'inf' stays a string
+    spec.meta.update(max_lag=np.inf, low=-np.inf, e=np.nan, label="inf")
+    write_spectrum(p, spec)
+    meta = read_spectrum(p).meta
+    assert (meta["max_lag"], meta["low"], meta["label"]) == (np.inf, -np.inf,
+                                                             "inf")
+    assert isinstance(meta["e"], float) and np.isnan(meta["e"])
 
 
 def test_spectrum_csv_roundtrip_complex(tmp_path):
@@ -296,6 +303,12 @@ def test_map_reader_rejects_foreign_files(tmp_path):
             read_map(p)
     with pytest.raises(TraceFormatError, match="map"):
         read_map(_binary_trace(tmp_path))
+    np.savez(tmp_path / "nofreqs.npz", thetas=np.arange(2.0))
+    (tmp_path / "nozip.npz").write_bytes(b"PK\x03\x04 is no zip archive")
+    (tmp_path / "pk.npz").write_bytes(b"PK is no zip either")
+    for name in ("nofreqs.npz", "nozip.npz", "pk.npz"):
+        with pytest.raises(TraceFormatError, match="malformed map"):
+            read_map(tmp_path / name)
     p = tmp_path / "ok.csv"
     p.write_text(head + "theta_rad,1,2\n# a comment\n0,1,\n")
     m = read_map(p)
@@ -427,6 +440,7 @@ def test_cli_rejects_segment_counts_below_one(cli_ws, capsys, cmd, segments):
      "epsilon must lie in [-1, 1]"),
     # a signed infinity is a value, not an unknown flag
     (["spectrum", "--theta", "-inf"], "filter phase must be finite"),
+    (["map", "--workers", "0"], "workers must be >= 1"),
 ])
 def test_cli_rejects_bad_filter_parameters(cli_ws, capsys, argv, message):
     out = cli_ws / "bad_filter.csv"

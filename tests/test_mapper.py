@@ -135,6 +135,12 @@ def test_map_workers_bit_identical(short_trace):
     assert np.array_equal(a.spectra, b.spectra)
 
 
+@pytest.mark.parametrize("fn", [theta_map_fast, theta_map_exact])
+def test_map_functions_reject_workers_below_one(short_trace, fn):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        fn(short_trace, -1.0, n_theta=2, workers=0)
+
+
 def test_map_worker_counts_share_one_stream_basis(short_trace):
     # the basis starts no threads, so the worker count must not key it
     trace = TimeTrace(samples=short_trace.samples.copy(), dt=short_trace.dt,

@@ -8,8 +8,9 @@ import pytest
 
 from rhet import (PhaseDriftSpec, PhaseSeries, Spectrum, compare_spectra,
                   field_spectra, complex_corr_spectrum, heterodyne_psd,
-                  modulate_current, phase_drift, standard_psd,
-                  synth_gaussian_trace, tone_field)
+                  modulate_current, phase_drift, rhet_spectrum,
+                  standard_psd, synth_gaussian_trace, theta_map_fast,
+                  tone_field)
 from rhet.core import TWO_PI, ConfigError
 from rhet.synth import _bin_factors
 
@@ -238,11 +239,21 @@ def test_synth_accepts_list_and_array_config_fields(thermal_cfg):
 
 
 def test_synth_runs_on_the_numpy1_fft_signature(thermal_cfg, monkeypatch):
-    # numpy.fft.fft takes no out= before NumPy 2.0; pyproject allows 1.24
+    # numpy.fft.fft and ifft take no out= before NumPy 2.0; pyproject
+    # allows 1.24
     n, dt = 128, 2e-7
-    want = synth_gaussian_trace(thermal_cfg, n * dt, dt, seed=5).samples
-    fft = np.fft.fft
-    monkeypatch.setattr(np.fft, "fft", lambda a, n=None, axis=-1, norm=None:
-                        fft(a, n, axis, norm))
-    got = synth_gaussian_trace(thermal_cfg, n * dt, dt, seed=5).samples
-    assert got.tobytes() == want.tobytes()
+
+    def outputs():
+        tr = synth_gaussian_trace(thermal_cfg, n * dt, dt, seed=5)
+        return [tr.samples.tobytes(),
+                rhet_spectrum(tr, -1.0, 0.3, segments=2).values.tobytes(),
+                theta_map_fast(tr, -1.0, n_theta=4,
+                               segments=2).spectra.tobytes(),
+                complex_corr_spectrum(tr, segments=2).values.tobytes()]
+
+    want = outputs()
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, lambda a, n=None, axis=-1,
+                            norm=None, fn=getattr(np.fft, name):
+                            fn(a, n, axis, norm))
+    assert outputs() == want
