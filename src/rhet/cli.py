@@ -99,7 +99,9 @@ def _build_parser():
     s.add_argument("--normalize", choices=("none", "het"), default="none",
                    help="het: scale so the heterodyne peak in --band reads 1")
     s.add_argument("--format", choices=("csv", "npz"), default="csv")
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--workers", type=int, default=None,
+                   help="threads for the stream basis and the map rows "
+                        "(default: every usable CPU); any count, same bytes")
 
     s = sub.add_parser("analytic", help="closed-form reference spectra")
     s.add_argument("--config", required=True)
@@ -181,10 +183,8 @@ def _cmd_map(args) -> int:
                 "cannot normalize to the heterodyne peak at epsilon=-1 "
                 "(the heterodyne part cancels there)")
         welch = standard_psd(trace, segments=args.segments)
-        sel = np.ones(welch.freqs.size, dtype=bool)
-        if args.band is not None:
-            sel = (welch.freqs >= args.band[0]) & (welch.freqs <= args.band[1])
-        vals = welch.values[sel]
+        vals = (welch.values if args.band is None
+                else welch.values[welch.band(*args.band)])
         ref = float(np.max(vals) - np.median(vals))
         if ref <= 0:
             raise ConfigError("no heterodyne peak above the baseline in --band")

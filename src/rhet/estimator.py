@@ -42,6 +42,8 @@ angular-frequency grids, S = dt * Re FFT(A), so sum(S) dw = 2 pi A(0).
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -88,24 +90,26 @@ def eval_filter(f: FilterSpec, t) -> np.ndarray:
     return psi
 
 
-def _in_place(transform, a):
-    """transform(a) written over the complex array a; NumPy < 2.0 has no
-    out= and returns a new array (the caller's a is then left as it was)."""
+def _in_place(transform, a, out=None):
+    """transform(a) written into the complex array out (default: over a);
+    NumPy < 2.0 has no out= there, so its result is copied in."""
+    out = a if out is None else out
     try:
-        return transform(a, out=a)
+        return transform(a, out=out)
     except TypeError:
-        return transform(a)
+        out[...] = transform(a)
+        return out
 
 
-def _fft(a):
+def _fft(a, out=None):
     """FFT of a 1-d array; a complex a is transformed in place. A real
-    one's is its rfft plus the conjugate mirror, at a third of the cost of
-    a complex transform of it (whose bits can differ in the last ulp)."""
+    one's is its rfft plus the conjugate mirror, into out (new by default):
+    a third of the cost of its complex transform (whose last bits differ)."""
     if np.iscomplexobj(a):
         return _in_place(np.fft.fft, a)
     n, h = a.size, a.size // 2 + 1
-    out = np.empty(n, dtype=complex)
-    out[:h] = np.fft.rfft(a)
+    out = np.empty(n, dtype=complex) if out is None else out
+    _in_place(np.fft.rfft, a, out[:h])
     np.conjugate(out[n - h:0:-1], out=out[h:])
     return out
 
@@ -124,35 +128,37 @@ def _signed_lags(n, dt):
     return np.where(m <= n // 2, m, m - n) * dt
 
 
-def _cis(x):
-    """e^{ix} for real x, from cos and sin: within an ulp of numpy's
-    complex exp (bit-equal on glibc) at under half its cost."""
+def _cis(x, out=None):
+    """e^{ix} for real x from cos and sin, into out (new by default; not
+    x's memory): within an ulp of numpy's complex exp (bit-equal on glibc)
+    at under half its cost."""
     x = np.asarray(x, dtype=float)
-    z = np.empty(x.shape, dtype=complex)
+    z = np.empty(x.shape, dtype=complex) if out is None else out
     np.cos(x, out=z.real)
     np.sin(x, out=z.imag)
     return z
 
 
-def _pair(op, a, n):
+def _pair(op, a, n, out=None):
     """op(a[k], a[-k mod n]) for k = 0..n//2 of a circular array, by
-    slices."""
+    slices, written into out (new by default)."""
     h = n // 2 + 1
-    mirror = np.empty(h, dtype=a.dtype)
+    mirror = np.empty(h, dtype=a.dtype) if out is None else out
     mirror[0] = a[0]
     mirror[1:] = a[n - 1:n - h:-1]
     return op(a[:h], mirror, out=mirror)
 
 
-def _demod_pair(cur, phasor, half_d):
-    """Pair (x, y) = (phasor e^{i half_d} i, e^{-i half_d} i) whose
-    cross-correlation carries the filter's fundamental; half_d = d(t)/2,
-    or None for a static filter (y is then the real current itself). x is
-    formed in place in phasor."""
-    if half_d is None:
+def _demod_pair(cur, phasor, dyn, t, out=None):
+    """Pair (x, y) = (phasor e^{i d/2} i, e^{-i d/2} i) whose
+    cross-correlation carries the filter's fundamental; d is the offset
+    series dyn at times t, or None for a static filter (y is then the real
+    current itself). x is formed in place in phasor, y in out (new by
+    default; t may be a view of it)."""
+    if dyn is None:
         phasor *= cur
         return phasor, cur
-    h = _cis(half_d)
+    h = _cis(0.5 * dyn.sample_at(t), out)
     phasor *= h
     phasor *= cur
     np.conj(h, out=h)
@@ -168,8 +174,7 @@ def _tbar_half(cur, dt, f, t_abs):
     c1 = filter_coefficients(f.epsilon, 1)
     if c1 != 0.0:
         x, y = _demod_pair(cur, np.exp(-1j * 2.0 * f.omega_beat * t_abs),
-                           None if f.dynamic_offset is None
-                           else 0.5 * f.dynamic_offset.sample_at(t_abs))
+                           f.dynamic_offset, t_abs)
         rot = c1 * np.exp(-1j * f.phase_offset) * np.exp(
             1j * f.omega_beat * _signed_lags(n, dt))
         acc = acc + 2.0 * np.real(rot * _xcorr(x, y))
@@ -276,6 +281,31 @@ def _segments(trace: TimeTrace, segments: int):
     return n_seg, views
 
 
+def _thread_count(workers) -> int:
+    """workers, checked; None means every CPU this process may run on."""
+    if workers is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        return len(affinity(0)) if affinity else os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    return workers
+
+
+def _on_threads(body, count, workers, consume=lambda out: None):
+    """body(i, slot) for i < count on k = min(workers, count) threads: item
+    i on slot i % k, slot 0 being the calling thread and the others helpers
+    of a pool made for this call. A slot runs one item at a time, so it can
+    reuse buffers; consume(result) runs on the calling thread in order."""
+    k = min(workers, count)
+    with ThreadPoolExecutor(max(k - 1, 1)) as pool:
+        pending = {i: pool.submit(body, i, i) for i in range(1, k)}
+        for i in range(count):
+            slot = i % k
+            consume(pending.pop(i).result() if slot else body(i, 0))
+            if slot and i + k < count:
+                pending[i + k] = pool.submit(body, i + k, slot)
+
+
 class _Moments:
     """Running mean and co-moment (Welford) of a stack of K real rows,
     updated in call order so the result is reproducible to the bit."""
@@ -299,13 +329,6 @@ class _Moments:
             for j in k:
                 self.m2[i, j] += np.multiply(d_old[i], d_new[j], out=prod)
 
-    def row(self, k):
-        """The moments of row k alone, as views."""
-        one = _Moments()
-        one.count, one.mean = self.count, self.mean[k:k + 1]
-        one.m2 = self.m2[k:k + 1, k:k + 1]
-        return one
-
     def variance(self, a):
         """Variance of the mean of sum_k a_k row_k (for complex a the total,
         real plus imaginary, variance); None for one row."""
@@ -317,13 +340,14 @@ class _Moments:
         return np.maximum(q, 0.0) / (self.count * (self.count - 1))
 
 
-def _combine(a, mean):
-    """Rows sum_k a[:, k] mean[k], one per row of a; elementwise in a fixed
-    order, so a map row and a single spectrum at the same theta agree to
-    the bit."""
-    rows = a[:, :1] * mean[0]
+def _combine(a, mean, out=None):
+    """Rows sum_k a[:, k] mean[k], one per row of a, written into out (new
+    by default) through one temporary; elementwise in a fixed order, so a
+    map row and a single spectrum at the same theta agree to the bit."""
+    rows = np.multiply(a[:, :1], mean[0], out=out)
+    tmp = np.empty_like(rows)
     for k in range(1, a.shape[1]):
-        rows += a[:, k:k + 1] * mean[k]
+        rows += np.multiply(a[:, k:k + 1], mean[k], out=tmp)
     return rows
 
 
@@ -357,11 +381,15 @@ def _drift_offset(trace: TimeTrace,
 
 
 def _stream_basis(trace: TimeTrace, segments: int, variant: str,
-                  phase_correction: Optional[PhaseSeries]) -> _Moments:
+                  phase_correction: Optional[PhaseSeries],
+                  workers: Optional[int] = None) -> _Moments:
     """Moments of the (P0, Re G, Im G) rows over the segments of a trace,
     on the non-negative bins; see the module docstring. Memoised on the
     trace, keyed on the segment count, the variant and the phase series'
-    values (a series demodulated again finds the same entry)."""
+    values (a series demodulated again finds the same entry). Segments run
+    on `workers` threads (see _on_threads), each in one workspace of two
+    n-point complex arrays, and add up in segment order: the same bits."""
+    workers = _thread_count(workers)
     series = (None if phase_correction is None else
               (phase_correction.times.tobytes(),
                phase_correction.theta.tobytes()))
@@ -369,32 +397,41 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
     if key in trace._bases:
         return trace._bases[key]
     n, views = _segments(trace, segments)
+    views, h = list(views), n // 2 + 1
     dt, om = trace.dt, trace.omega_beat
     dyn = _drift_offset(trace, phase_correction)
     t = np.arange(n) * dt
     local = _cis((-2.0 * om) * t)
     lag_phase = _cis(om * _signed_lags(n, dt))
-    moments = _Moments()
-    for t_off, seg in views:
-        x, y = _demod_pair(seg, local * _cis((-2.0 * om) * t_off),
-                           None if dyn is None
-                           else 0.5 * dyn.sample_at(t + t_off))
-        fy = _fft(y)
-        f_i = fy[:n // 2 + 1] if dyn is None else np.fft.rfft(seg)
-        prod = _in_place(np.fft.fft, x)
-        np.conj(prod, out=prod)
-        prod *= fy
+    spaces = [(np.empty(n, dtype=complex), np.empty(n, dtype=complex))
+              for _ in range(min(workers, segments))]
+
+    def segment_rows(s, slot):
+        t_off, seg = views[s]  # x ends as the rows; c as P0 and G
+        x, c = spaces[slot]
+        np.multiply(local, _cis((-2.0 * om) * t_off), out=x)
+        t_abs = None if dyn is None else np.add(t, t_off, out=c.real)
+        x, y = _demod_pair(seg, x, dyn, t_abs, out=c)
+        _in_place(np.fft.fft, x)
+        np.conj(x, out=x)
+        x *= _fft(y, out=c)
         if variant == "tbar":
-            prod = _in_place(np.fft.ifft, prod)
-            prod *= lag_phase
-            prod = _in_place(np.fft.fft, prod)
-        g = _pair(np.add, prod, n)
+            _in_place(np.fft.ifft, x)
+            x *= lag_phase
+            _in_place(np.fft.fft, x)
+        if dyn is not None:
+            _in_place(np.fft.rfft, seg, c[:h])
+        p0 = c[h:].view(float)[:h]
+        np.square(np.abs(c[:h], out=p0), out=p0)
+        p0 *= dt / n
+        g = _pair(np.add, x, n, out=c[:h])
         g *= dt / n
-        rows = np.empty((3, g.size))
-        np.square(np.abs(f_i, out=rows[0]), out=rows[0])
-        rows[0] *= dt / n
-        rows[1], rows[2] = g.real, g.imag
-        moments.add(rows)
+        rows = x.view(float)[:3 * h].reshape(3, h)
+        rows[0], rows[1], rows[2] = p0, g.real, g.imag
+        return rows
+
+    moments = _Moments()
+    _on_threads(segment_rows, segments, workers, moments.add)
     trace._bases[key] = moments
     return moments
 
@@ -420,25 +457,26 @@ def standard_psd(trace: TimeTrace, segments: int = 1,
     window "boxcar" or "hann". Variance is the across-segment sample
     variance of the mean (ddof=1, divided by the segment count). With the
     boxcar window, a stream basis the trace already holds for the same
-    segments gives it: its P0 row is the same periodogram, bit for bit.
+    segments gives it, weight 1 on its P0 row (the same periodogram, bit
+    for bit) and 0 on its G rows.
     """
     n_seg, views = _segments(trace, segments)
     if window not in ("boxcar", "hann"):
         raise ValueError("window must be 'boxcar' or 'hann'")
     moments = None
     if window == "boxcar":
-        moments = next((m.row(0) for key, m in trace._bases.items()
+        moments = next((m for key, m in trace._bases.items()
                         if key[:2] == ("basis", segments)), None)
     if moments is None:
-        w = np.hanning(n_seg) if window == "hann" else np.ones(n_seg)
-        scale = trace.dt / float(np.sum(w * w))
+        w = np.hanning(n_seg) if window == "hann" else None
+        scale = trace.dt / (n_seg if w is None else float(np.sum(w * w)))
         moments = _Moments()
         for _, seg in views:
-            p = np.abs(np.fft.rfft(w * seg)[None])
+            p = np.abs(np.fft.rfft(seg if w is None else w * seg)[None])
             np.square(p, out=p)
             p *= scale
             moments.add(p)
-    values, variance = _two_sided(moments, np.ones((1, 1)), n_seg)
+    values, variance = _two_sided(moments, np.eye(1, len(moments.mean)), n_seg)
     return Spectrum(freqs=_spectrum_grid(n_seg, trace.dt), values=values,
                     variance=variance,
                     meta={"kind": "welch", "segments": segments,

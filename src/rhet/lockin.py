@@ -46,6 +46,13 @@ def _baseband(spec, n, k_per_rad, omega, bandwidth_hz, m):
     return z * np.exp(1j * TWO_PI * (k0 - omega * k_per_rad) * np.arange(m) / m)
 
 
+def _smooth_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT transforms fast."""
+    odd = [3 ** i * 5 ** j for i in range(n.bit_length())
+           for j in range(n.bit_length()) if 3 ** i * 5 ** j <= 2 * n]
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd)
+
+
 def demodulate(trace: TimeTrace, omega_beat: Optional[float] = None,
                bandwidth_hz: float = 200.0) -> PhaseSeries:
     """Recover the slowly varying beat-note phase theta_hat(t).
@@ -53,15 +60,16 @@ def demodulate(trace: TimeTrace, omega_beat: Optional[float] = None,
     Shifts the beat to baseband and applies the magnitude response of a
     4th-order Butterworth low-pass of the given bandwidth, run forward and
     backward: |H|^2 = 1/(1 + (df/bandwidth)^8), zero phase. The filter acts
-    on the bins of one real FFT of the trace, so the record is treated as
-    periodic and nothing runs at the full sample rate. The output has
-    m = round(n/step) points spread evenly over the record, step being
-    roughly 8 samples per filter time constant; when step divides n this
-    is the times()[::step] grid. The returned series is the unwrapped
-    angle, so theta_hat includes the constant LO phase plus drift. Where
-    the record wraps round, the filter mixes its two ends; about
-    3/bandwidth is trimmed from each end so the first sample is a safe
-    anchor for drift correction.
+    on the bins of one real FFT of the trace, zero-padded to the next
+    2^a 3^b 5^c length N where the pad fits in the edge trim below, so the
+    record is treated as periodic and nothing runs at the full sample rate.
+    Of round(N/step) points spread evenly over the padded record, those on
+    the record are output, step being roughly 8 samples per filter time
+    constant; when step divides n = N this is the times()[::step] grid.
+    The returned series is the unwrapped angle, so theta_hat includes the
+    constant LO phase plus drift. Where the record wraps round, the filter
+    mixes its two ends; about 3/bandwidth is trimmed from each end so the
+    first sample is a safe anchor for drift correction.
 
     Raises ValueError("beat note not detected") when the beat-band envelope
     does not exceed a control band (offset by 5 kHz) by 10x in RMS over the
@@ -72,16 +80,22 @@ def demodulate(trace: TimeTrace, omega_beat: Optional[float] = None,
     if not (0 < bandwidth_hz < om / TWO_PI / 4.0):
         raise ValueError("bandwidth must be positive and well below the beat frequency")
     n = trace.n
+    n_fft = _smooth_size(n)
+    if (n_fft - n) * trace.dt > 3.0 / bandwidth_hz:
+        n_fft = n
     step = max(1, int(round(fs / (8.0 * bandwidth_hz))))
-    m = int(round(n / step))
+    m = int(round(n_fft / step))
     if m < 2:
         raise ValueError("trace too short for the lock-in bandwidth")
-    spec = np.fft.rfft(trace.samples)
-    k_per_rad = trace.duration / TWO_PI
-    z = _baseband(spec, n, k_per_rad, om, bandwidth_hz, m)
-    zc = _baseband(spec, n, k_per_rad, om + TWO_PI * _CONTROL_OFFSET_HZ,
+    spec = np.fft.rfft(trace.samples, n_fft)
+    k_per_rad = n_fft * trace.dt / TWO_PI
+    z = _baseband(spec, n_fft, k_per_rad, om, bandwidth_hz, m)
+    zc = _baseband(spec, n_fft, k_per_rad, om + TWO_PI * _CONTROL_OFFSET_HZ,
                    bandwidth_hz, m)
-    dt_out = trace.duration / m
+    dt_out = n_fft * trace.dt / m
+    # the samples on the record, not on its zero pad
+    m = -(-n * m // n_fft)
+    z, zc = z[:m], zc[:m]
     # the wrapped filter's edge transients span ~3/bandwidth at each end
     trim = int(np.ceil(3.0 / bandwidth_hz / dt_out))
     # judge detection on the interior: near the ends the wrapped filter

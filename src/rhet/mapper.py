@@ -5,11 +5,13 @@ memoised stream basis (see rhet.estimator):
 
     S(theta, w) = c0 * P0(w) + c1 * Re[e^{-i 2 theta} G(w)]
 
-The fast path assembles every row from that basis elementwise, in a fixed
-order, bit-identical for any worker count. The exact path calls
-rhet_spectrum per theta: for tbar it reads the same basis, so the two
-agree to the bit; for t0 it samples the true square wave while the fast
-path keeps the fundamental only, a couple percent on band-limited spectra.
+The fast path and the tbar exact path build the basis on `workers` threads
+(None: every usable CPU); the fast path fills its rows in blocks on as
+many, elementwise in a fixed order. Any count gives the same bits. The
+exact path calls rhet_spectrum per theta: for tbar it reads the same
+basis, so the two agree to the bit; for t0 it samples the true square wave
+while the fast path keeps the fundamental only, a couple percent on
+band-limited spectra.
 """
 from __future__ import annotations
 
@@ -18,8 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .core import FilterSpec, PhaseSeries, Spectrum, ThetaMap, TimeTrace
-from .estimator import (_combine, _quadrature_weights, _segments,
-                        _spectrum_grid, _stream_basis, rhet_spectrum)
+from .estimator import (_combine, _on_threads, _quadrature_weights,
+                        _segments, _spectrum_grid, _stream_basis,
+                        _thread_count, rhet_spectrum)
 
 
 def _theta_grid(n_theta: int) -> np.ndarray:
@@ -51,12 +54,14 @@ def _map_grid(trace: TimeTrace, segments: int, band):
 def theta_map_exact(trace: TimeTrace, epsilon: float, n_theta: int = 800,
                     variant: str = "tbar", segments: int = 1,
                     band=None, phase_correction: Optional[PhaseSeries] = None,
-                    workers: int = 1) -> ThetaMap:
+                    workers: Optional[int] = None) -> ThetaMap:
     """Reference map: one rhet_spectrum call per theta row."""
-    if workers < 1:  # checked; no thread runs yet
-        raise ValueError("workers must be >= 1")
+    workers = _thread_count(workers)
     thetas = _theta_grid(n_theta)
     _, freqs, mask = _map_grid(trace, segments, band)
+    FilterSpec(epsilon=epsilon, omega_beat=trace.omega_beat)  # checks epsilon
+    if variant == "tbar" and epsilon != 1.0:  # the rows read it from the memo
+        _stream_basis(trace, segments, variant, phase_correction, workers)
     rows = [rhet_spectrum(trace, epsilon, th, variant=variant,
                           segments=segments,
                           phase_correction=phase_correction).values[mask]
@@ -69,19 +74,22 @@ def theta_map_exact(trace: TimeTrace, epsilon: float, n_theta: int = 800,
 def theta_map_fast(trace: TimeTrace, epsilon: float, n_theta: int = 800,
                    variant: str = "tbar", segments: int = 1,
                    band=None, phase_correction: Optional[PhaseSeries] = None,
-                   workers: int = 1) -> ThetaMap:
+                   workers: Optional[int] = None) -> ThetaMap:
     """Stream-synthesized map; see module docstring for the contract."""
     if variant not in ("t0", "tbar"):
         raise ValueError("variant must be 't0' or 'tbar'")
     FilterSpec(epsilon=epsilon, omega_beat=trace.omega_beat)  # checks epsilon
-    if workers < 1:  # checked; no thread runs yet
-        raise ValueError("workers must be >= 1")
+    workers = _thread_count(workers)
     thetas = _theta_grid(n_theta)
     n_seg, freqs, mask = _map_grid(trace, segments, band)
-    basis = _stream_basis(trace, segments, variant, phase_correction)
+    basis = _stream_basis(trace, segments, variant, phase_correction, workers)
     # the non-negative bin of each in-band column (the streams are even in w)
     cols = np.abs(np.arange(n_seg) - n_seg // 2)[mask]
-    rows = _combine(_quadrature_weights(epsilon, thetas), basis.mean[:, cols])
+    a, mean = _quadrature_weights(epsilon, thetas), basis.mean[:, cols]
+    rows = np.empty((n_theta, cols.size))
+    blk = [slice(i, i + 16) for i in range(0, n_theta, 16)]  # theta rows
+    _on_threads(lambda b, _: _combine(a[blk[b]], mean, out=rows[blk[b]]),
+                len(blk), workers)
     return ThetaMap(thetas=thetas, freqs=freqs, spectra=rows,
                     meta={"variant": variant, "epsilon": float(epsilon),
                           "segments": segments, "path": "fast"})

@@ -10,6 +10,7 @@ import pytest
 from rhet import (PhaseDriftSpec, TimeTrace, demodulate, phase_drift,
                   synth_gaussian_trace)
 from rhet.core import TWO_PI
+from rhet.lockin import _smooth_size
 
 PILOT = 2500.0  # ~90x detection margin over the thermal envelope noise
 
@@ -58,19 +59,51 @@ def test_demodulate_runs_without_scipy_signal():
     assert out.stdout.split() == ["True", "False"]
 
 
-@pytest.mark.parametrize("phase", [
-    lambda t: np.full_like(t, 0.7),
-    lambda t: phase_drift(t, 0.7, np.pi / 4, 25.0),
+@pytest.mark.parametrize("phase, bound", [
+    (lambda t: np.full_like(t, 0.7), 1e-4),
+    (lambda t: phase_drift(t, 0.7, np.pi / 4, 25.0), 1e-3),
 ], ids=["constant", "sine drift"])
-def test_noise_free_pilot_off_the_bin_grid(phase):
+def test_noise_free_pilot_off_the_bin_grid(phase, bound):
     # the beat sits between FFT bins and the decimation step (3125 samples)
     # does not divide n, so neither the bin shift nor the output grid is
-    # exact by construction
-    tr = _pilot_trace(2_499_999, 10003.3, phase)
+    # exact by construction; 2 499 999 = 3 x 191 x 4363 is zero-padded by
+    # one sample to 2 500 000 and 2 500 001 by 19 423 to 2 519 424 =
+    # 2^7 3^9, a 3.9 ms pad inside the 15 ms edge trim
+    for n in (2_499_999, 2_500_001):
+        tr = _pilot_trace(n, 10003.3, phase)
+        ps = demodulate(tr)
+        assert np.max(np.abs(ps.theta - phase(ps.times))) < bound
+        assert ps.times[0] >= 3.0 / 200.0
+        assert ps.times[-1] <= tr.duration - 3.0 / 200.0
+
+
+def test_smooth_size_is_the_next_2_3_5_smooth_length():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    want, k = {}, 1
+    for n in range(1, 3000):
+        while not smooth(k) or k < n:
+            k += 1
+        want[n] = k
+    assert all(_smooth_size(n) == want[n] for n in want)
+    assert _smooth_size(2_499_999) == 2_500_000
+    assert _smooth_size(2_500_001) == 2_519_424
+    assert _smooth_size(39_062) == 39_366
+
+
+def test_padded_record_keeps_the_padded_output_grid():
+    # 500 001 samples pad to 506 250 (1.25 ms, inside the 15 ms trim); the
+    # 162 points of the padded record are 625 us apart, and only those on
+    # the record are returned
+    tr = _pilot_trace(500_001, 10_000.0, lambda t: np.full_like(t, 0.2))
     ps = demodulate(tr)
-    assert np.max(np.abs(ps.theta - phase(ps.times))) < 1e-3
-    assert ps.times[0] >= 3.0 / 200.0
-    assert ps.times[-1] <= tr.duration - 3.0 / 200.0
+    assert np.allclose(np.diff(ps.times), 506_250 * tr.dt / 162, rtol=1e-12)
+    assert ps.times[-1] < tr.duration - 3.0 / 200.0
+    assert np.max(np.abs(ps.theta - 0.2)) < 1e-3
 
 
 def test_output_grid_is_the_decimated_sample_grid():

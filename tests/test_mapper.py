@@ -1,12 +1,21 @@
 """Phase maps: fast-path equivalence, normalization, peak readers, and the
 zero-contour tracer."""
+import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rhet import (GridError, Spectrum, ThetaMap, normalize_map,
-                  peak_amplitude, peak_location, standard_psd,
-                  theta_map_exact, theta_map_fast, zero_contour)
+from rhet import (GridError, PhaseDriftSpec, Spectrum, ThetaMap, demodulate,
+                  normalize_map, peak_amplitude, peak_location, rhet_spectrum,
+                  standard_psd, synth_gaussian_trace, theta_map_exact,
+                  theta_map_fast, zero_contour)
 from rhet.core import TWO_PI, TimeTrace
+from rhet.estimator import (_combine, _quadrature_weights, _stream_basis,
+                            _thread_count)
 
 
 def _band(cfg):
@@ -142,13 +151,109 @@ def test_map_functions_reject_workers_below_one(short_trace, fn):
 
 
 def test_map_worker_counts_share_one_stream_basis(short_trace):
-    # the basis starts no threads, so the worker count must not key it
+    # any thread count builds the same bits, so none keys the memo
     trace = TimeTrace(samples=short_trace.samples.copy(), dt=short_trace.dt,
                       omega_beat=short_trace.omega_beat)
     maps = [theta_map_fast(trace, -1.0, n_theta=8, segments=4, workers=w)
             for w in (1, 8)]
     assert [key[0] for key in trace._bases] == ["basis"]
     assert maps[0].spectra.tobytes() == maps[1].spectra.tobytes()
+
+
+@pytest.fixture(scope="module")
+def pilot_trace(thermal_cfg):
+    """50 ms with a sine LO drift and a pilot, and its lock-in series."""
+    cfg = dataclasses.replace(thermal_cfg, drift=PhaseDriftSpec(
+        amplitude=0.5, freq_hz=25.0, kind="sine"))
+    trace = synth_gaussian_trace(cfg, 0.05, 2e-7, seed=19,
+                                 pilot_amplitude=2500.0)
+    return trace, demodulate(trace)
+
+
+def _fresh(trace):
+    """A copy of the trace with an empty memo."""
+    return TimeTrace(samples=trace.samples.copy(), dt=trace.dt,
+                     omega_beat=trace.omega_beat,
+                     theta_nominal=trace.theta_nominal)
+
+
+@pytest.mark.parametrize("segments", [1, 2, 3, 5, 16])
+def test_outputs_are_bit_identical_for_any_thread_count(pilot_trace,
+                                                        segments):
+    # every basis is built afresh on the given thread count; the calling
+    # thread adds the segments in order, so no count may move a bit of a
+    # fast map (40 rows: three blocks) or of a tbar spectrum read from it
+    trace, series = pilot_trace
+
+    def outputs(workers):
+        out = []
+        for variant in ("tbar", "t0"):
+            for ps in (None, series):
+                tr = _fresh(trace)
+                m = theta_map_fast(tr, -1.0, n_theta=40, variant=variant,
+                                   segments=segments, phase_correction=ps,
+                                   workers=workers)
+                out.append(m.spectra.tobytes())
+                if variant == "tbar":
+                    sp = rhet_spectrum(tr, 0.3, 0.4, segments=segments,
+                                       phase_correction=ps)
+                    out += [sp.values.tobytes(),
+                            b"" if sp.variance is None
+                            else sp.variance.tobytes()]
+        return out
+
+    want = outputs(1)
+    for workers in (2, 3, 8):
+        assert outputs(workers) == want
+
+
+def test_exact_map_builds_its_basis_on_the_given_threads(pilot_trace):
+    trace, series = pilot_trace
+    maps = [theta_map_exact(_fresh(trace), -1.0, n_theta=3, segments=5,
+                            phase_correction=series, workers=w).spectra
+            for w in (1, 3)]
+    assert maps[0].tobytes() == maps[1].tobytes()
+
+
+def test_workers_default_to_every_usable_cpu(short_trace, monkeypatch):
+    assert _thread_count(None) == len(os.sched_getaffinity(0))
+    assert _thread_count(3) == 3
+    a = theta_map_fast(_fresh(short_trace), -1.0, n_theta=4, segments=4)
+    b = theta_map_fast(_fresh(short_trace), -1.0, n_theta=4, segments=4,
+                       workers=1)
+    assert a.spectra.tobytes() == b.spectra.tobytes()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _thread_count(None) == (os.cpu_count() or 1)
+
+
+def test_importing_rhet_starts_no_thread():
+    code = "import threading, rhet; print(threading.active_count())"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "1"
+
+
+def test_fast_map_fills_rows_without_a_map_sized_temporary(noise_trace):
+    # the old assembly, _combine over all rows at once, holds a second
+    # map-sized temporary; the blocks hold one 16-row temporary per thread
+    trace = _fresh(noise_trace)
+    basis = _stream_basis(trace, 1, "tbar", None)
+    cols = np.abs(np.arange(trace.n) - trace.n // 2)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    p_new, m = peak(lambda: theta_map_fast(trace, -1.0, n_theta=400,
+                                           workers=2))
+    p_old, rows = peak(lambda: _combine(_quadrature_weights(-1.0, m.thetas),
+                                        basis.mean[:, cols]))
+    assert rows.tobytes() == m.spectra.tobytes()
+    assert p_old - p_new == pytest.approx(m.spectra.nbytes, rel=0.15)
 
 
 @pytest.mark.parametrize("epsilon", [2.0, -1.5, np.nan])

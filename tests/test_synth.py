@@ -239,9 +239,11 @@ def test_synth_accepts_list_and_array_config_fields(thermal_cfg):
 
 
 def test_synth_runs_on_the_numpy1_fft_signature(thermal_cfg, monkeypatch):
-    # numpy.fft.fft and ifft take no out= before NumPy 2.0; pyproject
+    # numpy.fft.fft, ifft and rfft take no out= before NumPy 2.0; pyproject
     # allows 1.24
     n, dt = 128, 2e-7
+    drift = PhaseSeries(times=np.linspace(0.0, n * dt, 9),
+                        theta=0.2 * np.sin(np.arange(9.0)))
 
     def outputs():
         tr = synth_gaussian_trace(thermal_cfg, n * dt, dt, seed=5)
@@ -249,10 +251,16 @@ def test_synth_runs_on_the_numpy1_fft_signature(thermal_cfg, monkeypatch):
                 rhet_spectrum(tr, -1.0, 0.3, segments=2).values.tobytes(),
                 theta_map_fast(tr, -1.0, n_theta=4,
                                segments=2).spectra.tobytes(),
-                complex_corr_spectrum(tr, segments=2).values.tobytes()]
+                complex_corr_spectrum(tr, segments=2).values.tobytes()] + [
+                theta_map_fast(synth_gaussian_trace(thermal_cfg, n * dt, dt,
+                                                    seed=5),
+                               -1.0, n_theta=4, segments=4,
+                               phase_correction=drift,
+                               workers=w).spectra.tobytes() for w in (1, 2)]
 
     want = outputs()
-    for name in ("fft", "ifft"):
+    assert want[-1] == want[-2]
+    for name in ("fft", "ifft", "rfft"):
         monkeypatch.setattr(np.fft, name, lambda a, n=None, axis=-1,
                             norm=None, fn=getattr(np.fft, name):
                             fn(a, n, axis, norm))
