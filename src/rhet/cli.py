@@ -23,7 +23,7 @@ from .estimator import complex_corr_spectrum, rhet_spectrum, standard_psd
 from .io import (CONFIG_SCHEMA_VERSION, TRACE_VERSION, compare_spectra,
                  read_config, read_spectrum, read_trace, write_map,
                  write_spectrum, write_trace)
-from .lockin import correct_and_estimate, demodulate
+from .lockin import demodulate
 from .mapper import theta_map_exact, theta_map_fast, normalize_map
 from .synth import synth_gaussian_trace
 
@@ -134,12 +134,6 @@ def _cmd_synth(args) -> int:
             freq_hz=d.freq_hz if args.drift_freq is None else args.drift_freq,
             kind=d.kind)
         cfg = dataclasses.replace(cfg, drift=d)
-    problems = validate_config(cfg, dt=args.dt)
-    errors = [x for x in problems if x.startswith("error")]
-    if errors:
-        raise ConfigError("; ".join(errors))
-    for w in problems:
-        print(w, file=sys.stderr)
     trace = synth_gaussian_trace(cfg, args.duration, args.dt, args.seed,
                                  pilot_amplitude=args.pilot)
     write_trace(args.out, trace)
@@ -150,21 +144,21 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.mode != "rhet" and (args.lockin or args.max_lag is not None
+                                or args.window != "rect"):
+        raise ConfigError("--lockin, --max-lag and --window need --mode rhet")
     trace = read_trace(args.infile)
     if args.mode == "welch":
         spec = standard_psd(trace, segments=args.segments)
     elif args.mode == "cross":
         spec = complex_corr_spectrum(trace, segments=args.segments)
-    elif args.lockin:
-        series = demodulate(trace, bandwidth_hz=args.bandwidth)
-        spec = correct_and_estimate(trace, series, args.epsilon, args.theta,
-                                    variant=args.variant,
-                                    segments=args.segments,
-                                    max_lag=args.max_lag, window=args.window)
     else:
+        series = (demodulate(trace, bandwidth_hz=args.bandwidth)
+                  if args.lockin else None)
         spec = rhet_spectrum(trace, args.epsilon, args.theta,
                              variant=args.variant, segments=args.segments,
-                             max_lag=args.max_lag, window=args.window)
+                             max_lag=args.max_lag, window=args.window,
+                             phase_correction=series)
     write_spectrum(args.out, spec)
     print(f"wrote {args.out}: {spec.freqs.size} bins, "
           f"mode={args.mode}{' lockin' if args.lockin else ''}")
@@ -196,6 +190,10 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_analytic(args) -> int:
+    for flag, value in (("--fmax", args.fmax),
+                        ("--bins-per-gamma", args.bins_per_gamma)):
+        if value is not None and not 0 < value < np.inf:
+            raise ConfigError(f"{flag} must be positive and finite")
     cfg = read_config(args.config)
     errors = [x for x in validate_config(cfg) if x.startswith("error")]
     if errors:

@@ -294,7 +294,9 @@ def validate_config(cfg: ExperimentConfig, dt: Optional[float] = None) -> list:
         err(f"error: unknown drift kind {d.kind!r}")
     if d.amplitude > 0 and d.kind == "sine" and not (d.freq_hz > 0):
         err("error: drift freq_hz must be positive for sine drift")
-    if dt is not None and len(cfg.modes) and cfg.omega_beat > 0:
+    if dt is not None and not 0 < dt < np.inf:
+        err("error: dt must be positive and finite")
+    elif dt is not None and len(cfg.modes) and cfg.omega_beat > 0:
         top = max(m.omega_m for m in cfg.modes if m.omega_m > 0) + cfg.omega_beat
         nyq = np.pi / dt
         if nyq <= top:

@@ -24,16 +24,16 @@ none. The running mean and co-moment M (Welford, fixed segment order) of
 O(n_freq); the variance of a = (c0, c1 cos 2theta, c1 sin 2theta) applied
 to it is a^T M a / (S(S-1)).
 
-t0 transforms the literal filter samples per segment, S = dt/N
-Re[conj(FFT(F i)) FFT(i)]; eps = +1 takes this route for either variant,
-with F = 1. FFT(i) of every segment is memoised per trace (read-only, 8n
-bytes for n samples, built only here), so a t0 spectrum transforms F i
-alone and an eps = +1 spectrum nothing. A boxcar Welch PSD reads the P0
-row of a basis the trace already holds. When the sampling is commensurate
-with the filter period and a discontinuity lands exactly on the sample
-grid, the discrete filter's mean shifts by +-(1-eps)/M (M samples per
-filter period) and leaks that fraction of the heterodyne background into
-eps < 1 spectra; otherwise the leakage is O(1/N).
+eps = +1 makes F = 1, and both variants are then standard_psd: the P0 row
+of a basis the trace already holds, else one rfft per segment. t0 at
+eps < 1 transforms the literal filter samples per segment, S = dt/N
+Re[conj(FFT(F i)) FFT(i)]; FFT(i) of every segment is memoised per trace
+(read-only, 8n bytes for n samples, built only here), so a further t0
+spectrum transforms F i alone. When the sampling is commensurate with the
+filter period and a discontinuity lands exactly on the sample grid, the
+discrete filter's mean shifts by +-(1-eps)/M (M samples per filter period)
+and leaks that fraction of the heterodyne background into eps < 1
+spectra; otherwise the leakage is O(1/N).
 
 max_lag or a lag window goes through filtered_autocorr, also the
 independent reference the engine is tested against; it stores lags 0..n/2,
@@ -437,8 +437,8 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
 
 
 def _segment_spectra(trace: TimeTrace, segments: int) -> tuple:
-    """Plain rfft of each segment, read-only: the literal-filter route's
-    per-trace memo, keyed on the segment count. It holds 8n bytes for an
+    """Plain rfft of each segment, read-only: the t0 route's per-trace
+    memo at eps < 1, keyed on the segment count. It holds 8n bytes for an
     n-sample trace, and only that route builds it."""
     key = ("rfft", segments)
     if key not in trace._bases:
@@ -450,37 +450,29 @@ def _segment_spectra(trace: TimeTrace, segments: int) -> tuple:
     return trace._bases[key]
 
 
-def standard_psd(trace: TimeTrace, segments: int = 1,
-                 window: str = "boxcar") -> Spectrum:
-    """Plain Welch PSD, two-sided, segment-averaged:
-    S = mean_s dt/N |FFT(w * i_s)|^2 / (sum w^2 / N).
-    window "boxcar" or "hann". Variance is the across-segment sample
-    variance of the mean (ddof=1, divided by the segment count). With the
-    boxcar window, a stream basis the trace already holds for the same
-    segments gives it, weight 1 on its P0 row (the same periodogram, bit
-    for bit) and 0 on its G rows.
+def standard_psd(trace: TimeTrace, segments: int = 1) -> Spectrum:
+    """Plain Welch PSD with a boxcar window, two-sided, segment-averaged:
+    S = mean_s dt/N |FFT i_s|^2. Variance is the across-segment sample
+    variance of the mean (ddof=1, divided by the segment count). A stream
+    basis the trace already holds for the same segments gives it, weight 1
+    on its P0 row (the same periodogram, bit for bit) and 0 on its G rows;
+    otherwise each segment takes one rfft.
     """
     n_seg, views = _segments(trace, segments)
-    if window not in ("boxcar", "hann"):
-        raise ValueError("window must be 'boxcar' or 'hann'")
-    moments = None
-    if window == "boxcar":
-        moments = next((m for key, m in trace._bases.items()
-                        if key[:2] == ("basis", segments)), None)
+    moments = next((m for key, m in trace._bases.items()
+                    if key[:2] == ("basis", segments)), None)
     if moments is None:
-        w = np.hanning(n_seg) if window == "hann" else None
-        scale = trace.dt / (n_seg if w is None else float(np.sum(w * w)))
         moments = _Moments()
         for _, seg in views:
-            p = np.abs(np.fft.rfft(seg if w is None else w * seg)[None])
+            p = np.abs(np.fft.rfft(seg)[None])
             np.square(p, out=p)
-            p *= scale
+            p *= trace.dt / n_seg
             moments.add(p)
     values, variance = _two_sided(moments, np.eye(1, len(moments.mean)), n_seg)
     return Spectrum(freqs=_spectrum_grid(n_seg, trace.dt), values=values,
                     variance=variance,
                     meta={"kind": "welch", "segments": segments,
-                          "window": window, "n_fft": n_seg, "dt": trace.dt})
+                          "window": "boxcar", "n_fft": n_seg, "dt": trace.dt})
 
 
 def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
@@ -497,7 +489,8 @@ def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
 
     The filter phase is global: segment s at absolute offset s*N_seg*dt sees
     the same F(t) as an unsegmented run, so segment averages converge to the
-    same expectation. The module docstring gives the three routes.
+    same expectation. With the rect window and no max_lag, eps = +1 gives
+    standard_psd's values and variance; the module docstring gives the routes.
     """
     if variant not in ("t0", "tbar"):
         raise ValueError("variant must be 't0' or 'tbar'")
@@ -514,28 +507,24 @@ def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
                                    t_offset=t_off)
             moments.add(psd_from_autocorr(ac, window, max_lag).values[None])
         values, variance = moments.mean[0], moments.variance((1.0,))
+    elif epsilon == 1.0:
+        welch = standard_psd(trace, segments)
+        values, variance = welch.values, welch.variance
+    elif variant == "tbar":
+        moments = _stream_basis(trace, segments, variant, phase_correction)
+        values, variance = _two_sided(
+            moments, _quadrature_weights(epsilon, [theta]), n_fft)
     else:
-        a = np.ones((1, 1))
-        plain = filter_coefficients(epsilon, 1) == 0.0  # eps = +1: F = 1
-        if variant == "tbar" and not plain:
-            moments = _stream_basis(trace, segments, variant,
-                                    phase_correction)
-            a = _quadrature_weights(epsilon, [theta])
-        else:
-            # t0, or eps = +1: both variants are the plain periodogram there
-            t = np.arange(n_fft) * dt
-            spectra = _segment_spectra(trace, segments)
-            for (t_off, seg), f_i in zip(views, spectra):
-                if plain:
-                    prod = np.conj(f_i)
-                else:
-                    fw = eval_filter(fspec, t + t_off)
-                    fw *= seg
-                    prod = np.fft.rfft(fw)
-                    np.conj(prod, out=prod)
-                prod *= f_i
-                moments.add(np.multiply(prod.real, dt / n_fft)[None])
-        values, variance = _two_sided(moments, a, n_fft)
+        t = np.arange(n_fft) * dt
+        spectra = _segment_spectra(trace, segments)
+        for (t_off, seg), f_i in zip(views, spectra):
+            fw = eval_filter(fspec, t + t_off)
+            fw *= seg
+            prod = np.fft.rfft(fw)
+            np.conj(prod, out=prod)
+            prod *= f_i
+            moments.add(np.multiply(prod.real, dt / n_fft)[None])
+        values, variance = _two_sided(moments, np.ones((1, 1)), n_fft)
     return Spectrum(
         freqs=_spectrum_grid(n_fft, dt), values=values, variance=variance,
         meta={"kind": "rhet", "variant": variant, "epsilon": float(epsilon),
@@ -544,8 +533,7 @@ def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
               "omega_beat": trace.omega_beat, "n_fft": n_fft, "dt": dt})
 
 
-def complex_corr_spectrum(trace: TimeTrace, omega_beat: Optional[float] = None,
-                          segments: int = 1) -> Spectrum:
+def complex_corr_spectrum(trace: TimeTrace, segments: int = 1) -> Spectrum:
     """Cross-spectrum between the down- and up-rotated currents:
 
         C(w) = (dt/N) conj(FFT[i e^{-i Om t}]) FFT[i e^{+i Om t}]
@@ -557,7 +545,7 @@ def complex_corr_spectrum(trace: TimeTrace, omega_beat: Optional[float] = None,
     from one transform per segment. Returned values are complex; variance
     is the total (real plus imaginary) across-segment variance of the mean.
     """
-    om = trace.omega_beat if omega_beat is None else float(omega_beat)
+    om = trace.omega_beat
     n_seg, views = _segments(trace, segments)
     local = _cis((-om) * (np.arange(n_seg) * trace.dt))
     moments = _Moments()

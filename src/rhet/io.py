@@ -340,14 +340,15 @@ def write_map(path, m: ThetaMap, fmt: str = "csv") -> None:
 
 def read_map(path) -> ThetaMap:
     with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"PK":  # zip container: npz
-        with _malformed(path, "map"), np.load(path, allow_pickle=False) as z:
-            return ThetaMap(
-                thetas=z["thetas"], freqs=z["freqs_hz"] * TWO_PI,
-                spectra=z["spectra"],
-                normalization=float(z["normalization"]),
-                meta=json.loads(str(z["meta"])))
+        if fh.read(2) == b"PK":  # zip container: npz
+            fh.seek(0)
+            # np.load(path) would leak its own handle on a non-zip file
+            with _malformed(path, "map"), np.load(fh, allow_pickle=False) as z:
+                return ThetaMap(
+                    thetas=z["thetas"], freqs=z["freqs_hz"] * TWO_PI,
+                    spectra=z["spectra"],
+                    normalization=float(z["normalization"]),
+                    meta=json.loads(str(z["meta"])))
     meta, header, table = _read_table(path, "# rhet theta map", "map")
     with _malformed(path, "map"):
         return ThetaMap(thetas=table[:, 0],

@@ -53,8 +53,7 @@ def _smooth_size(n: int) -> int:
     return min(p << (-(-n // p) - 1).bit_length() for p in odd)
 
 
-def demodulate(trace: TimeTrace, omega_beat: Optional[float] = None,
-               bandwidth_hz: float = 200.0) -> PhaseSeries:
+def demodulate(trace: TimeTrace, bandwidth_hz: float = 200.0) -> PhaseSeries:
     """Recover the slowly varying beat-note phase theta_hat(t).
 
     Shifts the beat to baseband and applies the magnitude response of a
@@ -75,7 +74,7 @@ def demodulate(trace: TimeTrace, omega_beat: Optional[float] = None,
     does not exceed a control band (offset by 5 kHz) by 10x in RMS over the
     interior of the record, or when both bands are empty.
     """
-    om = trace.omega_beat if omega_beat is None else float(omega_beat)
+    om = trace.omega_beat
     fs = 1.0 / trace.dt
     if not (0 < bandwidth_hz < om / TWO_PI / 4.0):
         raise ValueError("bandwidth must be positive and well below the beat frequency")

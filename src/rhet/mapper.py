@@ -5,13 +5,13 @@ memoised stream basis (see rhet.estimator):
 
     S(theta, w) = c0 * P0(w) + c1 * Re[e^{-i 2 theta} G(w)]
 
-The fast path and the tbar exact path build the basis on `workers` threads
-(None: every usable CPU); the fast path fills its rows in blocks on as
-many, elementwise in a fixed order. Any count gives the same bits. The
-exact path calls rhet_spectrum per theta: for tbar it reads the same
-basis, so the two agree to the bit; for t0 it samples the true square wave
-while the fast path keeps the fundamental only, a couple percent on
-band-limited spectra.
+The fast path and the exact path (tbar, or eps = +1) build the basis on
+`workers` threads (None: every usable CPU); the fast path fills its rows
+in blocks on as many, elementwise in a fixed order. Any count gives the
+same bits. The exact path calls rhet_spectrum per theta; in tbar that
+reads the basis, so the map equals the fast map to the bit. A t0 exact map
+samples the true square wave while the fast path keeps the fundamental
+only, a couple percent on band-limited spectra.
 """
 from __future__ import annotations
 
@@ -60,7 +60,7 @@ def theta_map_exact(trace: TimeTrace, epsilon: float, n_theta: int = 800,
     thetas = _theta_grid(n_theta)
     _, freqs, mask = _map_grid(trace, segments, band)
     FilterSpec(epsilon=epsilon, omega_beat=trace.omega_beat)  # checks epsilon
-    if variant == "tbar" and epsilon != 1.0:  # the rows read it from the memo
+    if variant == "tbar" or epsilon == 1.0:  # the rows read it from the memo
         _stream_basis(trace, segments, variant, phase_correction, workers)
     rows = [rhet_spectrum(trace, epsilon, th, variant=variant,
                           segments=segments,
@@ -127,21 +127,19 @@ def _quad_vertex(x, v):
 
 
 def peak_amplitude(spectrum: Spectrum, center: float, halfwidth: float,
-                   subtract_baseline: bool = False,
-                   baseline_halfwidth: Optional[float] = None) -> float:
+                   subtract_baseline: bool = False) -> float:
     """Signed feature amplitude near `center` from a local quadratic fit
     (robust to the bin grid straddling the true peak).
 
-    With subtract_baseline, the median of the surrounding bins (between
-    halfwidth and baseline_halfwidth, default 4x) is removed first, which
-    turns "height" into "height above the local background".
+    With subtract_baseline, the median of the surrounding ring of bins
+    (farther than halfwidth from center, within 4 halfwidths) is removed
+    first, which turns "height" into "height above the local background".
     """
     x, v = _peak_window(spectrum, center, halfwidth)
     base = 0.0
     if subtract_baseline:
-        bhw = 4.0 * halfwidth if baseline_halfwidth is None else baseline_halfwidth
         ring = (np.abs(spectrum.freqs - center) > halfwidth) \
-            & (np.abs(spectrum.freqs - center) <= bhw)
+            & (np.abs(spectrum.freqs - center) <= 4.0 * halfwidth)
         if np.count_nonzero(ring) < 3:
             raise ValueError("baseline ring holds fewer than 3 bins")
         base = float(np.median(np.real(spectrum.values[ring])))

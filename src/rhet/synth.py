@@ -59,8 +59,8 @@ def tone_field(tones, duration: float, dt: float):
     return 2.0 * np.real(a), 2.0 * np.imag(a)
 
 
-def modulate_current(x_quad, y_quad, omega_beat: float, theta, dt: float,
-                     label: str = "") -> TimeTrace:
+def modulate_current(x_quad, y_quad, omega_beat: float, theta,
+                     dt: float) -> TimeTrace:
     """Turn quadrature records into a beat-note photocurrent.
 
     theta may be a scalar or a PhaseSeries (sampled onto the trace times by
@@ -81,7 +81,7 @@ def modulate_current(x_quad, y_quad, omega_beat: float, theta, dt: float,
     ph = omega_beat * t + th
     cur = x * np.cos(ph) + y * np.sin(ph)
     return TimeTrace(samples=cur, dt=dt, omega_beat=omega_beat,
-                     theta_nominal=nominal, label=label)
+                     theta_nominal=nominal)
 
 
 @functools.lru_cache(maxsize=1)
@@ -133,6 +133,8 @@ def synth_gaussian_trace(cfg: ExperimentConfig, duration: float, dt: float,
     for p in problems:
         if p.startswith("warning"):
             warnings.warn(p, stacklevel=2)
+    if not 0 < duration < np.inf:
+        raise ValueError("duration must be positive and finite")
     n = int(round(duration / dt))
     if n < 16:
         raise ValueError("duration too short")

@@ -81,6 +81,9 @@ def test_validate_config_checks_sampling(thermal_cfg):
     assert any(p.startswith("warning") and "Nyquist" in p for p in warn)
     err = validate_config(thermal_cfg, dt=1e-6)
     assert any(p.startswith("error") and "sampling too slow" in p for p in err)
+    for bad in (0.0, -2e-7, np.inf, np.nan):
+        assert "error: dt must be positive and finite" in \
+            validate_config(thermal_cfg, dt=bad)
 
 
 def test_time_trace_contracts():

@@ -142,14 +142,27 @@ def test_tbar_autocorr_with_drift_matches_brute(noise_trace):
 
 # ------------------------------------------------------------- identities
 
-def test_eps_plus_one_is_plain_welch(short_trace):
-    ref = standard_psd(short_trace, segments=8)
-    for variant in ("tbar", "t0"):
-        spec = rhet_spectrum(short_trace, 1.0, 0.77, variant=variant,
-                             segments=8)
-        assert np.array_equal(spec.freqs, ref.freqs)
-        assert np.max(np.abs(spec.values - ref.values)) < \
-            1e-12 * np.max(ref.values)
+def test_eps_plus_one_is_plain_welch(short_trace, monkeypatch):
+    # F = 1: either variant, with or without a phase series, is
+    # standard_psd to the byte, on a fresh trace and on one holding a basis
+    ref = standard_psd(_fresh(short_trace), segments=8)
+    cases = [(variant, series) for variant in ("tbar", "t0")
+             for series in (None, _drift_series(short_trace))]
+    held = _fresh(short_trace)
+    rhet_spectrum(held, -1.0, 0.3, segments=8)
+    for fresh in (True, False):
+        if not fresh:
+            _no_rfft(monkeypatch)  # the held basis gives every row
+        for variant, series in cases:
+            spec = rhet_spectrum(_fresh(short_trace) if fresh else held, 1.0,
+                                 0.77, variant=variant, segments=8,
+                                 phase_correction=series)
+            assert np.array_equal(spec.freqs, ref.freqs)
+            assert spec.values.tobytes() == ref.values.tobytes()
+            assert spec.variance.tobytes() == ref.variance.tobytes()
+            assert spec.meta["kind"] == "rhet"
+            assert spec.meta["corrected"] is (series is not None)
+    assert len(held._bases) == 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -179,22 +192,37 @@ def test_spectrum_pipeline_matches_autocorr_route(noise_trace):
 
 @pytest.mark.parametrize("variant", ["tbar", "t0"])
 def test_spectrum_matches_per_segment_autocorr_rows(noise_trace, variant):
-    # values and variance against the lag route, one segment at a time
-    seg_n = noise_trace.n // 4
+    # values and variance against the lag route, one segment at a time: the
+    # default route, a hann lag window and a truncated max_lag
+    dt, seg_n = noise_trace.dt, noise_trace.n // 4
     f = FilterSpec(epsilon=-0.4, omega_beat=OMEGA, phase_offset=2 * 0.6)
-    rows = []
+    acs = []
     for s in range(4):
         seg = TimeTrace(samples=noise_trace.samples[s * seg_n:(s + 1) * seg_n],
-                        dt=noise_trace.dt, omega_beat=OMEGA)
-        ac = filtered_autocorr(seg, f, variant=variant,
-                               t_offset=s * seg_n * noise_trace.dt)
-        rows.append(psd_from_autocorr(ac).values)
-    rows = np.array(rows)
-    spec = rhet_spectrum(noise_trace, -0.4, 0.6, variant=variant, segments=4)
-    want_var = np.var(rows, axis=0, ddof=1) / 4
-    assert np.max(np.abs(spec.values - rows.mean(axis=0))) < \
-        1e-12 * np.max(np.abs(spec.values))
-    assert np.max(np.abs(spec.variance - want_var)) < 1e-12 * np.max(want_var)
+                        dt=dt, omega_beat=OMEGA)
+        acs.append(filtered_autocorr(seg, f, variant=variant,
+                                     t_offset=s * seg_n * dt))
+    for window, max_lag in (("rect", None), ("hann", None),
+                            ("rect", 40 * dt)):
+        rows = np.array([psd_from_autocorr(ac, window, max_lag).values
+                         for ac in acs])
+        spec = rhet_spectrum(noise_trace, -0.4, 0.6, variant=variant,
+                             segments=4, max_lag=max_lag, window=window)
+        want_var = np.var(rows, axis=0, ddof=1) / 4
+        assert np.max(np.abs(spec.values - rows.mean(axis=0))) < \
+            1e-12 * np.max(np.abs(spec.values))
+        assert np.max(np.abs(spec.variance - want_var)) < \
+            1e-12 * np.max(want_var)
+    # a max_lag past half the segment keeps every lag: the lag route then
+    # reproduces the engine's drift-corrected spectrum
+    series = _drift_series(noise_trace)
+    lags, engine = (rhet_spectrum(noise_trace, -0.4, 0.6, variant=variant,
+                                  segments=4, phase_correction=series,
+                                  max_lag=max_lag)
+                    for max_lag in (0.99 * seg_n * dt, None))
+    for a, b in ((lags.values, engine.values),
+                 (lags.variance, engine.variance)):
+        assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
 
 
 def _fresh(trace):
@@ -272,11 +300,16 @@ def test_segment_spectrum_memo_keys_and_contract(short_trace, monkeypatch):
     rhet_spectrum(trace, -1.0, 0.3, variant="t0", segments=8)
     assert set(trace._bases) == {("rfft", 4), ("rfft", 8)}
     assert len(trace._bases[("rfft", 8)]) == 8
-    # eps = +1 takes nothing but the memo, for either variant
+    # eps = +1 is standard_psd for either variant: it adds no memo entry,
+    # and on a trace holding a basis it transforms nothing
+    for variant in ("tbar", "t0"):
+        rhet_spectrum(trace, 1.0, 0.3, variant=variant, segments=4)
+    assert set(trace._bases) == {("rfft", 4), ("rfft", 8)}
+    rhet_spectrum(trace, -1.0, 0.3, variant="tbar", segments=4)
     _no_rfft(monkeypatch)
     for variant in ("tbar", "t0"):
         rhet_spectrum(trace, 1.0, 0.3, variant=variant, segments=4)
-    assert len(trace._bases) == 2
+    assert len(trace._bases) == 3
 
 
 def _welford(rows):
@@ -289,8 +322,7 @@ def _welford(rows):
     return mean, np.maximum(m2, 0.0) / (len(rows) * (len(rows) - 1))
 
 
-@pytest.mark.parametrize("variant, eps", [("t0", -1.0), ("t0", 0.4),
-                                          ("t0", 1.0), ("tbar", 1.0)])
+@pytest.mark.parametrize("variant, eps", [("t0", -1.0), ("t0", 0.4)])
 @pytest.mark.parametrize("drift", [False, True])
 def test_literal_filter_spectra_follow_their_formula_bit_for_bit(
         short_trace, variant, eps, drift):

@@ -2,6 +2,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 from rhet import (ConfigError, GridError, PhaseDriftSpec, Spectrum, ThetaMap,
                   TraceFormatError, compare_spectra, read_config, read_map,
                   read_spectrum, read_trace, rhet_spectrum, standard_psd,
-                  synth_gaussian_trace, theta_map_fast, write_config,
-                  write_map, write_spectrum, write_trace)
+                  synth_gaussian_trace, theta_map_fast, validate_config,
+                  write_config, write_map, write_spectrum, write_trace)
 from rhet.cli import main
 from rhet.core import TWO_PI, TimeTrace
 from rhet.io import config_from_dict, config_to_dict
@@ -385,6 +387,21 @@ def test_cli_synth_is_deterministic(cli_ws):
     assert out1.read_bytes() != (cli_ws / "det3.rht").read_bytes()
 
 
+def test_cli_synth_prints_each_config_warning_once(cli_ws, thermal_cfg):
+    warned = [p for p in validate_config(thermal_cfg, dt=2e-7)
+              if p.startswith("warning")]
+    assert warned  # the built-in config sits outside the operating regime
+    run = subprocess.run(
+        [sys.executable, "-m", "rhet.cli", "synth",
+         "--config", str(cli_ws / "config.json"),
+         "--out", str(cli_ws / "warn.rht"), "--seed", "1",
+         "--duration", "0.02"],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    for w in warned:
+        assert run.stderr.count(w) == 1
+
+
 def test_cli_synth_usage_errors(cli_ws, tmp_path):
     rc = main(["synth", "--config", str(cli_ws / "config.json"),
                "--out", str(tmp_path / "zero.rht"), "--seed", "1",
@@ -441,16 +458,49 @@ def test_cli_rejects_segment_counts_below_one(cli_ws, capsys, cmd, segments):
     # a signed infinity is a value, not an unknown flag
     (["spectrum", "--theta", "-inf"], "filter phase must be finite"),
     (["map", "--workers", "0"], "workers must be >= 1"),
+    (["synth", "--dt", "0"], "dt must be positive and finite"),
+    (["synth", "--dt", "nan"], "dt must be positive and finite"),
+    (["synth", "--duration", "inf"], "duration must be positive and finite"),
+    (["synth", "--duration", "-1"], "duration must be positive and finite"),
+    (["analytic", "--bins-per-gamma", "0"],
+     "--bins-per-gamma must be positive and finite"),
+    (["analytic", "--bins-per-gamma", "-5"],
+     "--bins-per-gamma must be positive and finite"),
+    (["analytic", "--fmax", "inf"], "--fmax must be positive and finite"),
+    (["analytic", "--fmax", "-1"], "--fmax must be positive and finite"),
+    # the welch and cross modes have no filter to window, truncate or lock
+    (["spectrum", "--mode", "welch", "--window", "hann"], "--mode rhet"),
+    (["spectrum", "--mode", "welch", "--max-lag", "1e-3"], "--mode rhet"),
+    (["spectrum", "--mode", "cross", "--lockin"], "--mode rhet"),
 ])
 def test_cli_rejects_bad_filter_parameters(cli_ws, capsys, argv, message):
     out = cli_ws / "bad_filter.csv"
-    source = (["--config", str(cli_ws / "config.json")]
-              if argv[0] == "analytic"
-              else ["--in", str(cli_ws / "trace.rht"), "--segments", "8"])
+    if argv[0] in ("spectrum", "map"):
+        source = ["--in", str(cli_ws / "trace.rht"), "--segments", "8"]
+    else:
+        source = ["--config", str(cli_ws / "config.json")]
+        if argv[0] == "synth":
+            source += ["--seed", "1"]
     rc = main(argv + source + ["--out", str(out)])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", ["tbar", "t0"])
+def test_cli_lag_window_spectrum_matches_the_api(cli_ws, variant):
+    out = cli_ws / f"lag_{variant}.csv"
+    rc = main(["spectrum", "--in", str(cli_ws / "trace.rht"), "--out",
+               str(out), "--segments", "8", "--epsilon", "-0.5", "--theta",
+               "0.3", "--variant", variant, "--window", "hann",
+               "--max-lag", "2e-3"])
+    assert rc == 0
+    want = rhet_spectrum(read_trace(cli_ws / "trace.rht"), -0.5, 0.3,
+                         variant=variant, segments=8, max_lag=2e-3,
+                         window="hann")
+    got = read_spectrum(out)
+    assert got.meta["window"] == "hann" and got.meta["max_lag"] == 2e-3
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_cli_reads_a_negative_exponent_value_after_a_flag(cli_ws):

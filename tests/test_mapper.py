@@ -67,6 +67,13 @@ def test_eps_plus_one_rows_are_all_welch(thermal_cfg, short_trace):
     sel = (w.freqs >= band[0]) & (w.freqs <= band[1])
     assert np.max(np.abs(m.spectra[0] - w.values[sel])) < \
         1e-12 * np.max(w.values[sel])
+    # the exact map's rows read the Welch row of the one basis it builds
+    for variant in ("tbar", "t0"):
+        trace = _fresh(short_trace)
+        me = theta_map_exact(trace, 1.0, n_theta=3, variant=variant,
+                             segments=4, band=band)
+        assert [key[0] for key in trace._bases] == ["basis"]
+        assert me.spectra.tobytes() == m.spectra[:3].tobytes()
 
 
 def test_normalize_map_scales_and_records(short_trace):
@@ -94,12 +101,13 @@ def test_peak_readers_on_synthetic_features():
     lifted = Spectrum(freqs=f, values=7.0 + np.where(np.abs(f - 1.2) < 2.0,
                                                      5.0 - 0.3 * (f - 1.2) ** 2,
                                                      0.0))
-    amp = peak_amplitude(lifted, 1.2, 1.0, subtract_baseline=True,
-                         baseline_halfwidth=8.0)
+    amp = peak_amplitude(lifted, 1.2, 1.0, subtract_baseline=True)
     assert amp == pytest.approx(5.0, rel=0.05)
-    with pytest.raises(ValueError):
-        peak_amplitude(lifted, 1.2, 1.0, subtract_baseline=True,
-                       baseline_halfwidth=1.02)
+    # the ring out to 4 halfwidths must hold 3 bins to give a median
+    sparse = Spectrum(freqs=np.array([-0.1, 0.0, 0.1, 0.5, 2.0]),
+                      values=np.zeros(5))
+    with pytest.raises(ValueError, match="baseline ring holds fewer than 3"):
+        peak_amplitude(sparse, 0.0, 0.1, subtract_baseline=True)
 
 
 def test_zero_contour_on_synthetic_map():
