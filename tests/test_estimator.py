@@ -322,12 +322,13 @@ def _welford(rows):
     return mean, np.maximum(m2, 0.0) / (len(rows) * (len(rows) - 1))
 
 
-@pytest.mark.parametrize("variant, eps", [("t0", -1.0), ("t0", 0.4)])
+@pytest.mark.parametrize("variant, eps", [("t0", -1.0), ("t0", 0.4),
+                                          ("t0", 1.0), ("tbar", 1.0)])
 @pytest.mark.parametrize("drift", [False, True])
 def test_literal_filter_spectra_follow_their_formula_bit_for_bit(
         short_trace, variant, eps, drift):
     # per segment dt/N Re[conj(rfft(F i)) rfft(i)], Welford-averaged and
-    # mirrored by index
+    # mirrored by index; eps = +1 (F = 1) is Welch's dt/N |rfft(F i)|^2
     trace, seg_n, dt = _fresh(short_trace), short_trace.n // 4, short_trace.dt
     series = _drift_series(trace) if drift else None
     f = FilterSpec(epsilon=eps, omega_beat=trace.omega_beat,
@@ -338,7 +339,8 @@ def test_literal_filter_spectra_follow_their_formula_bit_for_bit(
         seg = trace.samples[s * seg_n:(s + 1) * seg_n]
         fw = np.fft.rfft(eval_filter(f, np.arange(seg_n) * dt
                                      + s * seg_n * dt) * seg)
-        rows.append((dt / seg_n) * np.real(np.conj(fw) * np.fft.rfft(seg)))
+        rows.append((dt / seg_n) * (np.square(np.abs(fw)) if eps == 1.0 else
+                                    np.real(np.conj(fw) * np.fft.rfft(seg))))
     mean, var = _welford(rows)
     mirror = np.abs(np.arange(seg_n) - seg_n // 2)
     for _ in range(2):  # building the memo, then reading it
