@@ -17,8 +17,7 @@ from .core import (ConfigError, ExperimentConfig, FilterSpec, GridError,
                    default_thermal_config, validate_config)
 from .analytic import (FieldSpectra, cavity_susceptibility, field_spectra,
                        filter_coefficients, heterodyne_psd, homodyne_psd,
-                       mech_susceptibility, rhet_prediction,
-                       sign_convention_calibration)
+                       rhet_prediction)
 from .synth import (modulate_current, phase_drift, synth_gaussian_trace,
                     tone_field)
 from .estimator import (Autocorrelation, complex_corr_spectrum, eval_filter,
@@ -39,7 +38,7 @@ __all__ = [
     "validate_config",
     "FieldSpectra", "cavity_susceptibility", "field_spectra",
     "filter_coefficients", "heterodyne_psd", "homodyne_psd",
-    "mech_susceptibility", "rhet_prediction", "sign_convention_calibration",
+    "rhet_prediction",
     "modulate_current", "phase_drift", "synth_gaussian_trace", "tone_field",
     "Autocorrelation", "complex_corr_spectrum", "eval_filter",
     "filtered_autocorr", "psd_from_autocorr", "rhet_spectrum", "standard_psd",

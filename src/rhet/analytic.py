@@ -34,13 +34,6 @@ from .core import (TWO_PI, ExperimentConfig, FilterSpec, GridError,
                    MechMode, PhysicalityError, Spectrum)
 
 
-def mech_susceptibility(omega, mode: MechMode):
-    """Mass-weighted mechanical susceptibility 1/(m (omega_m^2 - w^2 - i gamma w))."""
-    omega = np.asarray(omega, dtype=float)
-    om, gam = mode.omega_m, mode.gamma
-    return 1.0 / (mode.mass * (om * om - omega * omega - 1j * gam * omega))
-
-
 def cavity_susceptibility(omega, kappa: float, detuning: float):
     """Cavity field response 1/(kappa - i(detuning + omega)).
 
@@ -228,57 +221,3 @@ def rhet_prediction(fs: FieldSpectra, omega_beat: float, theta: float,
                     meta={"kind": "rhet_prediction", "variant": variant,
                           "epsilon": float(epsilon), "theta": float(theta),
                           "omega_beat": float(omega_beat)})
-
-
-def sign_convention_calibration() -> dict:
-    """Self-test pinning the sign conventions by direct measurement.
-
-    Builds a deterministic two-tone field with a known anomalous-correlation
-    phase chi, modulates it at a known LO phase theta0, and scans the filter
-    phase offset. The response must peak at phi0 = chi - 2 theta0, which
-    fixes both senses used across the package:
-
-      theta_sense = +1 : the filter phase parameter adds to the LO phase
-                         (effective quadrature angle theta_f + theta0)
-      corr_sign   = +1 : the correlation term enters the filtered spectrum
-                         as +2 c1 Re[e^{-i(phi0 + 2 theta0)} s_aa]
-
-    Returns the record with the measured peak offset error (radians). Raises
-    PhysicalityError if the measured offset disagrees with the convention by
-    more than 0.1 rad, which would mean the build is internally inconsistent.
-    """
-    from .estimator import filtered_autocorr
-    from .core import FilterSpec, TimeTrace
-
-    omega = TWO_PI * 1.0e4
-    om_m = 2.5 * omega
-    chi = 0.6
-    theta0 = 0.35
-    # incommensurate sampling so the square filter's discrete coefficients
-    # match the continuous ones (see estimator notes)
-    dt = (TWO_PI / omega) / 24.6180339887
-    n = 40000
-    t = np.arange(n) * dt
-    a = 0.5 * (np.exp(-1j * om_m * t) + np.exp(1j * (om_m * t + chi)))
-    ph = omega * t + theta0
-    cur = 2 * np.real(a) * np.cos(ph) + 2 * np.imag(a) * np.sin(ph)
-    trace = TimeTrace(samples=cur, dt=dt, omega_beat=omega, theta_nominal=theta0)
-    lags = np.arange(0, 30)
-    phis = np.linspace(0.0, TWO_PI, 96, endpoint=False)
-    resp = np.empty(phis.size)
-    for i, p in enumerate(phis):
-        f = FilterSpec(epsilon=-1.0, omega_beat=omega, phase_offset=p)
-        ac = filtered_autocorr(trace, f, variant="tbar")
-        # project the lag profile on cos(om_m tau): isolates the correlation
-        resp[i] = np.mean(ac.values[lags] * np.cos(om_m * lags * dt))
-    # quadratic-free estimate of the peak location via the fundamental phase
-    z = np.sum(resp * np.exp(1j * phis)) / phis.size
-    measured = float(np.angle(z)) % TWO_PI
-    expected = (chi - 2.0 * theta0) % TWO_PI
-    err = (measured - expected + np.pi) % TWO_PI - np.pi
-    if abs(err) > 0.1:
-        raise PhysicalityError(
-            f"sign-convention self-test failed: peak at {measured:.3f} rad, "
-            f"expected {expected:.3f} rad"
-        )
-    return {"theta_sense": +1, "corr_sign": +1, "offset_error_rad": float(err)}

@@ -74,16 +74,16 @@ def _build_parser():
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--mode", choices=("rhet", "welch", "cross"), default="rhet")
-    s.add_argument("--epsilon", type=float, default=-1.0)
-    s.add_argument("--theta", type=float, default=0.0)
-    s.add_argument("--variant", choices=("t0", "tbar"), default="tbar")
+    s.add_argument("--epsilon", type=float, help="default -1")
+    s.add_argument("--theta", type=float, help="default 0")
+    s.add_argument("--variant", choices=("t0", "tbar"), help="default tbar")
     s.add_argument("--segments", type=int, default=64)
-    s.add_argument("--max-lag", type=float, default=None, help="seconds")
-    s.add_argument("--window", default="rect")
-    s.add_argument("--lockin", action="store_true",
+    s.add_argument("--max-lag", type=float, help="seconds")
+    s.add_argument("--window", help="default rect")
+    s.add_argument("--lockin", action="store_true", default=None,
                    help="demodulate the beat note and track LO drift")
-    s.add_argument("--bandwidth", type=float, default=200.0,
-                   help="lock-in bandwidth (Hz)")
+    s.add_argument("--bandwidth", type=float,
+                   help="lock-in bandwidth (Hz), default 200")
 
     s = sub.add_parser("map", help="filter-phase map of a trace")
     s.add_argument("--in", dest="infile", required=True)
@@ -108,9 +108,9 @@ def _build_parser():
     s.add_argument("--out", required=True)
     s.add_argument("--kind", choices=("homodyne", "heterodyne", "rhet"),
                    default="heterodyne")
-    s.add_argument("--theta", type=float, default=0.0)
-    s.add_argument("--epsilon", type=float, default=-1.0)
-    s.add_argument("--variant", choices=("t0", "tbar"), default="tbar")
+    s.add_argument("--theta", type=float, help="default 0")
+    s.add_argument("--epsilon", type=float, help="default -1")
+    s.add_argument("--variant", choices=("t0", "tbar"), help="default tbar")
     s.add_argument("--fmax", type=float, default=None,
                    help="grid half-span in Hz (default 1.5x top sideband)")
     s.add_argument("--bins-per-gamma", type=float, default=20.0)
@@ -123,6 +123,34 @@ def _build_parser():
     s.add_argument("--max-rel-err", type=float, default=0.15)
     s.add_argument("--min-pearson", type=float, default=0.95)
     return p
+
+
+# The flags only some modes read, with their defaults, keyed on the
+# (argument, value) that selects the mode. A flag given where no selected
+# mode reads it is a config error that names the modes which do.
+_MODE_FLAGS = {
+    "spectrum": {("mode", "rhet"): dict(epsilon=-1.0, theta=0.0,
+                                        variant="tbar", max_lag=None,
+                                        window="rect", lockin=False),
+                 ("lockin", True): dict(bandwidth=200.0)},
+    "analytic": {("kind", "homodyne"): dict(theta=0.0),
+                 ("kind", "rhet"): dict(theta=0.0, epsilon=-1.0,
+                                        variant="tbar")},
+}
+
+
+def _mode_flags(args) -> None:
+    """Check args against _MODE_FLAGS and fill in the defaults."""
+    rows = _MODE_FLAGS.get(args.command, {})
+    for name in dict.fromkeys(n for flags in rows.values() for n in flags):
+        modes = [m for m in rows if name in rows[m]]
+        active = [m for m in modes if getattr(args, m[0]) == m[1]]
+        if active and getattr(args, name) is None:
+            setattr(args, name, rows[active[0]][name])
+        elif not active and getattr(args, name) is not None:
+            need = " or ".join(f"--{d}" + ("" if v is True else f" {v}")
+                               for d, v in modes)
+            raise ConfigError(f"--{name.replace('_', '-')} needs {need}")
 
 
 def _cmd_synth(args) -> int:
@@ -144,9 +172,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.mode != "rhet" and (args.lockin or args.max_lag is not None
-                                or args.window != "rect"):
-        raise ConfigError("--lockin, --max-lag and --window need --mode rhet")
     trace = read_trace(args.infile)
     if args.mode == "welch":
         spec = standard_psd(trace, segments=args.segments)
@@ -241,6 +266,7 @@ def main(argv=None) -> int:
                 "compare": _cmd_compare}
     # ConfigError and GridError are ValueErrors, TraceFormatError an OSError
     try:
+        _mode_flags(args)
         return handlers[args.command](args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -39,7 +39,7 @@ class MechMode:
 
     omega_m : angular resonance frequency (rad/s)
     gamma   : FWHM damping rate (rad/s)
-    mass    : effective mass (kg); only unit-carrying queries use it
+    mass    : effective mass (kg); kept in configs, no model output uses it
     nbar    : mean thermal occupancy (dimensionless)
     """
 

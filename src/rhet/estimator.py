@@ -24,16 +24,22 @@ none. The running mean and co-moment M (Welford, fixed segment order) of
 O(n_freq); the variance of a = (c0, c1 cos 2theta, c1 sin 2theta) applied
 to it is a^T M a / (S(S-1)).
 
-eps = +1 makes F = 1, and both variants are then standard_psd: the P0 row
-of a basis the trace already holds, else one rfft per segment. t0 at
-eps < 1 transforms the literal filter samples per segment, S = dt/N
-Re[conj(FFT(F i)) FFT(i)]; FFT(i) of every segment is memoised per trace
-(read-only, 8n bytes for n samples, built only here), so a further t0
-spectrum transforms F i alone. When the sampling is commensurate with the
-filter period and a discontinuity lands exactly on the sample grid, the
-discrete filter's mean shifts by +-(1-eps)/M (M samples per filter period)
-and leaks that fraction of the heterodyne background into eps < 1
-spectra; otherwise the leakage is O(1/N).
+eps = +1 makes F = 1, and both variants are then standard_psd: P0's
+moments from a basis or a t0 memo the trace already holds, else one rfft
+per segment. t0 uses the literal filter F = a + b s, a = (1+eps)/2,
+b = (1-eps)/2, s the +-1 square wave, so S = a P0 + b T with
+T = dt/N Re[conj(FFT(s i)) FFT(i)] per segment. Its per-trace memo holds
+FFT(i) of each segment (read-only, 8n bytes for n samples) and, unless a
+basis's P0 row gives them to the bit, P0's mean and co-moment. Per theta
+and phase series it holds T's mean and co-moment and
+2 sum_s (P0_s - mean P0) T_s, the P0-T cross co-moment summed both ways:
+3 rows of n_seg/2+1 floats, for the last _T0_THETAS = 4 theta. A theta
+thus costs one rfft per segment and each further eps there O(n_freq);
+eps = -1 reads T's rows alone, bit for bit. When the sampling is
+commensurate with the filter period and a discontinuity lands exactly on
+the sample grid, the discrete filter's mean shifts by +-(1-eps)/M (M
+samples per filter period) and leaks that fraction of the heterodyne
+background into eps < 1 spectra; otherwise the leakage is O(1/N).
 
 max_lag or a lag window goes through filtered_autocorr, also the
 independent reference the engine is tested against; it stores lags 0..n/2,
@@ -45,6 +51,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -76,18 +83,30 @@ def eval_filter(f: FilterSpec, t) -> np.ndarray:
     F = +1 where mod(psi + pi/2, 2 pi) <= pi with
     psi = 2*omega_beat*t - phase_offset - d(t), epsilon elsewhere. Boundary
     samples belong to the +1 half-cycle. d(t) is the dynamic offset series
-    (linearly interpolated, clamped outside its support).
+    (linearly interpolated, clamped outside its support). The remainder is
+    psi - 2 pi floor(psi / 2 pi), or np.mod's within 16 eps (max|psi| +
+    2 pi) of 0, pi and 2 pi: np.mod's mask to the bit at half its cost.
     """
     t = np.asarray(t, dtype=float)
-    psi = np.multiply(2.0 * f.omega_beat, t, out=np.empty_like(t))
+    psi = np.multiply(2.0 * f.omega_beat, t, out=np.empty(t.shape))
     psi -= f.phase_offset
     if f.dynamic_offset is not None:
         psi -= f.dynamic_offset.sample_at(t)
     psi += 0.5 * np.pi
-    plus = np.mod(psi, TWO_PI, out=psi) <= np.pi
-    psi.fill(f.epsilon)
-    np.copyto(psi, 1.0, where=plus)
-    return psi
+    flat = psi.reshape(-1)
+    r = np.floor(np.divide(flat, TWO_PI))
+    r *= TWO_PI
+    np.subtract(flat, r, out=r)
+    plus = r <= np.pi
+    for edge in (np.pi, 0.5 * np.pi):  # r becomes ||r - pi| - pi/2|
+        r -= edge
+        np.abs(r, out=r)
+    lim = max(flat.max(initial=0.0), -flat.min(initial=0.0)) + TWO_PI
+    near = np.flatnonzero(r > 0.5 * np.pi - 16.0 * np.finfo(float).eps * lim)
+    plus[near] = np.mod(flat[near], TWO_PI) <= np.pi
+    r.fill(f.epsilon)
+    np.copyto(r, 1.0, where=plus)
+    return r.reshape(psi.shape)
 
 
 def _in_place(transform, a, out=None):
@@ -226,8 +245,14 @@ def _lag_window(name: str, n_keep: int) -> np.ndarray:
     raise ValueError(f"unknown window {name!r}; choose rect, hann or bartlett")
 
 
+@lru_cache(maxsize=4)
 def _spectrum_grid(n_fft: int, dt: float) -> np.ndarray:
-    return TWO_PI * np.fft.fftshift(np.fft.fftfreq(n_fft, dt))
+    """Shifted two-sided angular-frequency grid, TWO_PI * fftshift(fftfreq)
+    to the bit; read-only and shared by every spectrum on it."""
+    grid = TWO_PI * (np.arange(-(n_fft // 2), n_fft - n_fft // 2)
+                     * (1.0 / (n_fft * dt)))
+    grid.flags.writeable = False
+    return grid
 
 
 def _mirror(row, n_fft: int) -> np.ndarray:
@@ -268,16 +293,16 @@ def psd_from_autocorr(ac: Autocorrelation, window: str = "rect",
 
 
 def _segments(trace: TimeTrace, segments: int):
-    """Check `segments` once, then return the segment length and an
-    iterator over (absolute start time, samples) of each segment; the
-    trailing trace.n % segments samples are dropped."""
+    """Check `segments` once, then return the segment length and a list of
+    (absolute start time, samples) of each segment; the trailing
+    trace.n % segments samples are dropped."""
     if segments < 1:
         raise ValueError("segments must be >= 1")
     n_seg = trace.n // segments
     if n_seg < 16:
         raise ValueError("segments too short")
-    views = ((s * n_seg * trace.dt, trace.samples[s * n_seg:(s + 1) * n_seg])
-             for s in range(segments))
+    views = [(s * n_seg * trace.dt, trace.samples[s * n_seg:(s + 1) * n_seg])
+             for s in range(segments)]
     return n_seg, views
 
 
@@ -380,24 +405,28 @@ def _drift_offset(trace: TimeTrace,
         theta=-2.0 * (phase_correction.theta - trace.theta_nominal))
 
 
+def _series_key(series: Optional[PhaseSeries]):
+    """A phase series by value, for memo keys: demodulated again, it finds
+    the same entry."""
+    return None if series is None else (series.times.tobytes(),
+                                        series.theta.tobytes())
+
+
 def _stream_basis(trace: TimeTrace, segments: int, variant: str,
                   phase_correction: Optional[PhaseSeries],
                   workers: Optional[int] = None) -> _Moments:
     """Moments of the (P0, Re G, Im G) rows over the segments of a trace,
     on the non-negative bins; see the module docstring. Memoised on the
     trace, keyed on the segment count, the variant and the phase series'
-    values (a series demodulated again finds the same entry). Segments run
-    on `workers` threads (see _on_threads), each in one workspace of two
-    n-point complex arrays, and add up in segment order: the same bits."""
+    values. Segments run on `workers` threads (see _on_threads), each in
+    one workspace of two n-point complex arrays, and add up in segment
+    order: the same bits."""
     workers = _thread_count(workers)
-    series = (None if phase_correction is None else
-              (phase_correction.times.tobytes(),
-               phase_correction.theta.tobytes()))
-    key = ("basis", segments, variant, series)
+    key = ("basis", segments, variant, _series_key(phase_correction))
     if key in trace._bases:
         return trace._bases[key]
     n, views = _segments(trace, segments)
-    views, h = list(views), n // 2 + 1
+    h = n // 2 + 1
     dt, om = trace.dt, trace.omega_beat
     dyn = _drift_offset(trace, phase_correction)
     t = np.arange(n) * dt
@@ -436,18 +465,74 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
     return moments
 
 
-def _segment_spectra(trace: TimeTrace, segments: int) -> tuple:
-    """Plain rfft of each segment, read-only: the t0 route's per-trace
-    memo at eps < 1, keyed on the segment count. It holds 8n bytes for an
-    n-sample trace, and only that route builds it."""
-    key = ("rfft", segments)
-    if key not in trace._bases:
-        _, views = _segments(trace, segments)
-        spectra = tuple(np.fft.rfft(seg) for _, seg in views)
-        for f_i in spectra:
-            f_i.flags.writeable = False
-        trace._bases[key] = spectra
-    return trace._bases[key]
+def _p0_moments(trace: TimeTrace, segments: int, spectra=None) -> _Moments:
+    """Welch's moments of P0 = dt/N |rfft i|^2 over the segments: row 0 of
+    a held stream basis (the same bits) or of the t0 route's P0 memo, else
+    built from the segments' rffts `spectra` (then memoised) or one rfft
+    per segment."""
+    memo = trace._bases
+    bases = (m for key, m in memo.items() if key[:2] == ("basis", segments))
+    moments = next(bases, memo.get(("p0", segments)))
+    if moments is None:
+        n, views = _segments(trace, segments)
+        moments = _Moments()
+        for f_i in spectra or (np.fft.rfft(seg) for _, seg in views):
+            p = np.abs(f_i[None])
+            np.square(p, out=p)
+            p *= trace.dt / n
+            moments.add(p)
+        if spectra:
+            memo["p0", segments] = moments
+    return moments
+
+
+_T0_THETAS = 4  # theta entries of a trace's t0 memo; the oldest goes first
+
+
+def _t0_rows(trace: TimeTrace, segments: int, f: FilterSpec,
+             phase_correction: Optional[PhaseSeries]):
+    """Mean and variance of the t0 spectrum of filter f on the shifted grid,
+    from the moments of P0 = dt/N |rfft i|^2 and of T = dt/N
+    Re[conj(rfft(s i)) rfft(i)], s = f at eps = -1; the module docstring
+    gives the memo."""
+    n, views = _segments(trace, segments)
+    memo = trace._bases
+    key = ("t0", segments, _series_key(phase_correction), f.phase_offset)
+    if key not in memo:
+        if ("rfft", segments) not in memo:
+            memo["rfft", segments] = tuple(np.fft.rfft(s) for _, s in views)
+            for f_i in memo["rfft", segments]:
+                f_i.flags.writeable = False
+        spectra = memo["rfft", segments]
+        p_mean = _p0_moments(trace, segments, spectra).mean[0]
+        t, scale = np.arange(n) * trace.dt, trace.dt / n
+        square, moments, cross = replace(f, epsilon=-1.0), _Moments(), 0.0
+        for (t_off, seg), f_i in zip(views, spectra):
+            w = eval_filter(square, t + t_off)
+            w *= seg
+            z = np.fft.rfft(w)
+            np.conj(z, out=z)
+            z *= f_i
+            row = np.multiply(z.real, scale)
+            moments.add(row[None])
+            p = np.abs(f_i)  # the cross co-moment sum_s (P0_s - mean) T_s
+            np.square(p, out=p)
+            p *= scale
+            p -= p_mean
+            cross += p * row
+        memo[key] = (moments.mean[0], moments.m2[0, 0], 2.0 * cross)
+        for old in [k for k in memo if k[0] == "t0"][:-_T0_THETAS]:
+            del memo[old]
+    p0, (t_mean, t_m2, x_m2) = _p0_moments(trace, segments), memo[key]
+    a, b = 0.5 * (1.0 + f.epsilon), 0.5 * (1.0 - f.epsilon)
+    values, variance = b * t_mean, (b * b) * t_m2
+    if a:  # at eps = -1, b = 1: T's own bits
+        values += a * p0.mean[0]
+        variance += (a * a) * p0.m2[0, 0] + (a * b) * x_m2
+    if segments < 2:
+        return _mirror(values, n), None
+    variance = np.maximum(variance, 0.0) / (segments * (segments - 1))
+    return _mirror(values, n), _mirror(variance, n)
 
 
 def standard_psd(trace: TimeTrace, segments: int = 1) -> Spectrum:
@@ -455,19 +540,11 @@ def standard_psd(trace: TimeTrace, segments: int = 1) -> Spectrum:
     S = mean_s dt/N |FFT i_s|^2. Variance is the across-segment sample
     variance of the mean (ddof=1, divided by the segment count). A stream
     basis the trace already holds for the same segments gives it, weight 1
-    on its P0 row (the same periodogram, bit for bit) and 0 on its G rows;
-    otherwise each segment takes one rfft.
+    on its P0 row (the same periodogram, bit for bit) and 0 on its G rows,
+    as does the t0 route's P0 memo; otherwise each segment takes one rfft.
     """
-    n_seg, views = _segments(trace, segments)
-    moments = next((m for key, m in trace._bases.items()
-                    if key[:2] == ("basis", segments)), None)
-    if moments is None:
-        moments = _Moments()
-        for _, seg in views:
-            p = np.abs(np.fft.rfft(seg)[None])
-            np.square(p, out=p)
-            p *= trace.dt / n_seg
-            moments.add(p)
+    n_seg, _ = _segments(trace, segments)
+    moments = _p0_moments(trace, segments)
     values, variance = _two_sided(moments, np.eye(1, len(moments.mean)), n_seg)
     return Spectrum(freqs=_spectrum_grid(n_seg, trace.dt), values=values,
                     variance=variance,
@@ -499,8 +576,8 @@ def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
                        dynamic_offset=_drift_offset(trace, phase_correction))
     n_fft, views = _segments(trace, segments)
     dt = trace.dt
-    moments = _Moments()
     if max_lag is not None or window != "rect":
+        moments = _Moments()
         for t_off, seg in views:
             ac = filtered_autocorr(replace(trace, samples=seg), fspec,
                                    max_lag=max_lag, variant=variant,
@@ -515,16 +592,7 @@ def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
         values, variance = _two_sided(
             moments, _quadrature_weights(epsilon, [theta]), n_fft)
     else:
-        t = np.arange(n_fft) * dt
-        spectra = _segment_spectra(trace, segments)
-        for (t_off, seg), f_i in zip(views, spectra):
-            fw = eval_filter(fspec, t + t_off)
-            fw *= seg
-            prod = np.fft.rfft(fw)
-            np.conj(prod, out=prod)
-            prod *= f_i
-            moments.add(np.multiply(prod.real, dt / n_fft)[None])
-        values, variance = _two_sided(moments, np.ones((1, 1)), n_fft)
+        values, variance = _t0_rows(trace, segments, fspec, phase_correction)
     return Spectrum(
         freqs=_spectrum_grid(n_fft, dt), values=values, variance=variance,
         meta={"kind": "rhet", "variant": variant, "epsilon": float(epsilon),

@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhet import (ExperimentConfig, FilterSpec, GridError, MechMode,
-                  cavity_susceptibility, eval_filter, field_spectra,
-                  filter_coefficients, heterodyne_psd, homodyne_psd,
-                  mech_susceptibility, rhet_prediction,
-                  sign_convention_calibration)
+                  TimeTrace, cavity_susceptibility, eval_filter,
+                  field_spectra, filter_coefficients, filtered_autocorr,
+                  heterodyne_psd, homodyne_psd, rhet_prediction)
 from rhet.analytic import FieldSpectra
 from rhet.core import TWO_PI
 
@@ -81,14 +80,6 @@ def test_cavity_susceptibility_values():
     assert np.angle(v) == pytest.approx(np.pi / 4)
     v = cavity_susceptibility(3.0, 1.0, -2.0)
     assert v == pytest.approx(1.0 / (1.0 - 1.0j))
-
-
-def test_mech_susceptibility_values():
-    # mass-weighted: 1/(m (omega_m^2 - w^2 - i gamma w))
-    mode = MechMode(omega_m=100.0, gamma=4.0, mass=2.0, nbar=0.0)
-    assert mech_susceptibility(0.0, mode) == pytest.approx(1.0 / 2e4)
-    # on resonance the response is purely reactive
-    assert mech_susceptibility(100.0, mode) == pytest.approx(1j / 800.0)
 
 
 # ------------------------------------------------------------ model spectra
@@ -252,7 +243,37 @@ def test_model_never_violates_cauchy_schwarz(kappa_hz, det_hz, om_hz, gam_hz,
 
 
 def test_sign_convention_calibration_passes():
-    rec = sign_convention_calibration()
-    assert rec["theta_sense"] == 1
-    assert rec["corr_sign"] == 1
-    assert abs(rec["offset_error_rad"]) < 0.01
+    # A deterministic two-tone field with a known anomalous-correlation
+    # phase chi, modulated at a known LO phase theta0, against a scan of
+    # the filter phase offset. The response must peak at
+    # phi0 = chi - 2 theta0, which pins both senses used across the package:
+    # the filter phase adds to the LO phase (quadrature angle
+    # theta_f + theta0), and the correlation term enters the filtered
+    # spectrum as +2 c1 Re[e^{-i(phi0 + 2 theta0)} s_aa].
+    omega = TWO_PI * 1.0e4
+    om_m = 2.5 * omega
+    chi = 0.6
+    theta0 = 0.35
+    # incommensurate sampling, so the square filter's discrete coefficients
+    # match the continuous ones
+    dt = (TWO_PI / omega) / 24.6180339887
+    t = np.arange(40000) * dt
+    a = 0.5 * (np.exp(-1j * om_m * t) + np.exp(1j * (om_m * t + chi)))
+    ph = omega * t + theta0
+    cur = 2 * np.real(a) * np.cos(ph) + 2 * np.imag(a) * np.sin(ph)
+    trace = TimeTrace(samples=cur, dt=dt, omega_beat=omega,
+                      theta_nominal=theta0)
+    lags = np.arange(0, 30)
+    phis = np.linspace(0.0, TWO_PI, 96, endpoint=False)
+    resp = np.empty(phis.size)
+    for i, p in enumerate(phis):
+        f = FilterSpec(epsilon=-1.0, omega_beat=omega, phase_offset=p)
+        ac = filtered_autocorr(trace, f, variant="tbar")
+        # project the lag profile on cos(om_m tau): isolates the correlation
+        resp[i] = np.mean(ac.values[lags] * np.cos(om_m * lags * dt))
+    # the peak location from the phase of the scan's fundamental
+    z = np.sum(resp * np.exp(1j * phis)) / phis.size
+    measured = float(np.angle(z)) % TWO_PI
+    expected = (chi - 2.0 * theta0) % TWO_PI
+    err = (measured - expected + np.pi) % TWO_PI - np.pi
+    assert abs(err) < 0.01

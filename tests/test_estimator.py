@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from rhet import (FilterSpec, PhaseSeries, correct_and_estimate, eval_filter,
                   filter_coefficients, filtered_autocorr,
                   complex_corr_spectrum, psd_from_autocorr, rhet_spectrum,
-                  standard_psd, synth_gaussian_trace, theta_map_fast)
+                  standard_psd, synth_gaussian_trace, theta_map_exact,
+                  theta_map_fast)
 from rhet.core import TWO_PI, TimeTrace
 
 OMEGA = TWO_PI * 1.0e4
@@ -58,6 +59,54 @@ def test_eval_filter_constant_dynamic_offset_shifts_the_phase():
     dyn = eval_filter(FilterSpec(-1.0, OMEGA, 0.2, dynamic_offset=series), t)
     static = eval_filter(FilterSpec(-1.0, OMEGA, 0.2 + 0.45), t)
     assert np.array_equal(dyn, static)
+
+
+def _literal_filter(f, t):
+    """The defining formula, with np.mod over every sample."""
+    psi = 2.0 * f.omega_beat * t - f.phase_offset
+    if f.dynamic_offset is not None:
+        psi = psi - f.dynamic_offset.sample_at(t)
+    psi = psi + 0.5 * np.pi
+    return np.where(np.mod(psi, TWO_PI) <= np.pi, 1.0, f.epsilon)
+
+
+@settings(max_examples=80, deadline=None)
+@given(omega=st.floats(1.0, 1e6), phase=st.floats(-20.0, 20.0),
+       eps=st.floats(-1.0, 1.0), dt=st.floats(1e-9, 1e-3),
+       offset=st.floats(-1e3, 1e3), per_half_cycle=st.integers(1, 64),
+       grid=st.sampled_from(["free", "commensurate", "on the edges"]),
+       drift=st.floats(-1.5, 1.5) | st.none())
+def test_eval_filter_mask_is_np_mods_to_the_bit(omega, phase, eps, dt, offset,
+                                                per_half_cycle, grid, drift):
+    # a commensurate dt puts samples at (float-rounded) half-cycle edges;
+    # with 2 omega = 1 and no phase offset they land there exactly
+    if grid == "commensurate":
+        dt = (np.pi / omega) / per_half_cycle
+    elif grid == "on the edges":
+        omega, phase, dt = 0.5, 0.0, np.pi / per_half_cycle
+        offset = np.round(offset) * np.pi
+    t = offset + np.arange(4099) * dt
+    series = None
+    if drift is not None:
+        ts = np.linspace(t[0] - 1.0, t[-1] + 1.0, 33)
+        series = PhaseSeries(times=ts, theta=drift * np.sin(np.arange(33.0)))
+    f = FilterSpec(epsilon=eps, omega_beat=omega, phase_offset=phase,
+                   dynamic_offset=series)
+    assert eval_filter(f, t).tobytes() == _literal_filter(f, t).tobytes()
+    assert eval_filter(f, t[::-1]).tobytes() == \
+        _literal_filter(f, t[::-1]).tobytes()
+    assert eval_filter(f, t[5]).shape == ()
+
+
+def test_spectrum_grid_is_shared_read_only_and_fftfreqs():
+    from rhet.estimator import _spectrum_grid
+    for n in (16, 17, 4095, 4096, 39062, 156250, 156251):
+        for dt in (2e-7, 1.0 / 3.0):
+            grid = _spectrum_grid(n, dt)
+            want = TWO_PI * np.fft.fftshift(np.fft.fftfreq(n, dt))
+            assert grid.tobytes() == want.tobytes()
+            assert not grid.flags.writeable
+            assert _spectrum_grid(n, dt) is grid
 
 
 # ------------------------------------------------- brute double-sum oracles
@@ -287,29 +336,74 @@ def test_welch_from_a_stream_basis_is_bit_identical(short_trace, monkeypatch,
 
 def test_segment_spectrum_memo_keys_and_contract(short_trace, monkeypatch):
     trace = _fresh(short_trace)
+    h = trace.n // 8 + 1
     rhet_spectrum(trace, -1.0, 0.3, variant="t0", segments=4)
+    assert set(trace._bases) == {("rfft", 4), ("p0", 4), ("t0", 4, None, 0.6)}
     spectra = trace._bases[("rfft", 4)]
-    assert len(trace._bases) == 1 and len(spectra) == 4
-    assert sum(f.nbytes for f in spectra) == 4 * 16 * (trace.n // 8 + 1)
+    assert len(spectra) == 4
+    assert sum(f.nbytes for f in spectra) == 4 * 16 * h
     for f in spectra:
         assert not f.flags.writeable
         with pytest.raises(ValueError):
             f[0] = 0.0
-    rhet_spectrum(trace, 0.2, 1.1, variant="t0", segments=4)
-    assert len(trace._bases) == 1
-    rhet_spectrum(trace, -1.0, 0.3, variant="t0", segments=8)
-    assert set(trace._bases) == {("rfft", 4), ("rfft", 8)}
-    assert len(trace._bases[("rfft", 8)]) == 8
-    # eps = +1 is standard_psd for either variant: it adds no memo entry,
-    # and on a trace holding a basis it transforms nothing
-    for variant in ("tbar", "t0"):
-        rhet_spectrum(trace, 1.0, 0.3, variant=variant, segments=4)
-    assert set(trace._bases) == {("rfft", 4), ("rfft", 8)}
-    rhet_spectrum(trace, -1.0, 0.3, variant="tbar", segments=4)
-    _no_rfft(monkeypatch)
-    for variant in ("tbar", "t0"):
-        rhet_spectrum(trace, 1.0, 0.3, variant=variant, segments=4)
+    # P0's mean and co-moment once per trace; per theta T's mean, T's
+    # co-moment and the summed cross co-moment: 3 rows
+    p0 = trace._bases[("p0", 4)]
+    assert (p0.mean.shape, p0.m2.shape) == ((1, h), (1, 1, h))
+    assert [r.shape for r in trace._bases[("t0", 4, None, 0.6)]] == [(h,)] * 3
+    with monkeypatch.context() as m:
+        _no_rfft(m)  # any eps at a held theta reads the memo
+        rhet_spectrum(trace, 0.2, 0.3, variant="t0", segments=4)
     assert len(trace._bases) == 3
+    rhet_spectrum(trace, -1.0, 0.3, variant="t0", segments=8)
+    rhet_spectrum(trace, -1.0, 0.3, variant="t0", segments=4,
+                  phase_correction=_drift_series(trace))
+    assert {k[:2] for k in trace._bases} == {
+        ("rfft", 4), ("p0", 4), ("t0", 4), ("rfft", 8), ("p0", 8), ("t0", 8)}
+    assert len(trace._bases) == 7
+    # eps = +1 is standard_psd for either variant: it adds no memo entry,
+    # and on a trace holding P0's moments or a basis it transforms nothing
+    with monkeypatch.context() as m:
+        _no_rfft(m)
+        for variant in ("tbar", "t0"):
+            rhet_spectrum(trace, 1.0, 0.3, variant=variant, segments=4)
+    assert len(trace._bases) == 7
+    rhet_spectrum(trace, -1.0, 0.3, variant="tbar", segments=4)
+    with monkeypatch.context() as m:
+        _no_rfft(m)
+        for variant in ("tbar", "t0"):
+            rhet_spectrum(trace, 1.0, 0.3, variant=variant, segments=4)
+    assert len(trace._bases) == 8
+    # a held basis's P0 row gives P0's moments, to the bit: no p0 entry
+    held = _fresh(short_trace)
+    rhet_spectrum(held, -1.0, 0.3, segments=4)
+    got = rhet_spectrum(held, 0.2, 1.1, variant="t0", segments=4)
+    assert ("p0", 4) not in held._bases
+    want = rhet_spectrum(_fresh(short_trace), 0.2, 1.1, variant="t0",
+                         segments=4)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.variance.tobytes() == want.variance.tobytes()
+
+
+def test_t0_memo_keeps_a_bounded_number_of_thetas(short_trace):
+    from rhet.estimator import _T0_THETAS
+    trace = TimeTrace(samples=short_trace.samples[:4 * 4096].copy(),
+                      dt=short_trace.dt, omega_beat=short_trace.omega_beat)
+    thetas = np.linspace(0.0, np.pi, 50, endpoint=False)
+    for th in thetas:
+        rhet_spectrum(trace, -0.5, th, variant="t0", segments=4)
+    held = [k[3] for k in trace._bases if k[0] == "t0"]  # phi0 = 2 theta
+    assert held == (2.0 * thetas[-_T0_THETAS:]).tolist()
+    theta_map_exact(trace, 0.0, n_theta=3 * _T0_THETAS, variant="t0",
+                    segments=4)
+    assert sum(k[0] == "t0" for k in trace._bases) == _T0_THETAS
+    assert len(trace._bases) == 2 + _T0_THETAS
+    # an evicted theta comes back with the same bits
+    again = rhet_spectrum(trace, -0.5, thetas[0], variant="t0", segments=4)
+    fresh = rhet_spectrum(_fresh(trace), -0.5, thetas[0], variant="t0",
+                          segments=4)
+    assert again.values.tobytes() == fresh.values.tobytes()
+    assert again.variance.tobytes() == fresh.variance.tobytes()
 
 
 def _welford(rows):
@@ -328,7 +422,9 @@ def _welford(rows):
 def test_literal_filter_spectra_follow_their_formula_bit_for_bit(
         short_trace, variant, eps, drift):
     # per segment dt/N Re[conj(rfft(F i)) rfft(i)], Welford-averaged and
-    # mirrored by index; eps = +1 (F = 1) is Welch's dt/N |rfft(F i)|^2
+    # mirrored by index; eps = +1 (F = 1) is Welch's dt/N |rfft(F i)|^2.
+    # Bit for bit at eps = +-1; between them the route adds the P0 and
+    # square-wave moments, within 1e-14 of the spectrum's maximum
     trace, seg_n, dt = _fresh(short_trace), short_trace.n // 4, short_trace.dt
     series = _drift_series(trace) if drift else None
     f = FilterSpec(epsilon=eps, omega_beat=trace.omega_beat,
@@ -346,8 +442,14 @@ def test_literal_filter_spectra_follow_their_formula_bit_for_bit(
     for _ in range(2):  # building the memo, then reading it
         spec = rhet_spectrum(trace, eps, 0.6, variant=variant, segments=4,
                              phase_correction=series)
-        assert spec.values.tobytes() == mean[mirror].tobytes()
-        assert spec.variance.tobytes() == var[mirror].tobytes()
+        if abs(eps) == 1.0:
+            assert spec.values.tobytes() == mean[mirror].tobytes()
+            assert spec.variance.tobytes() == var[mirror].tobytes()
+            continue
+        for got, want in ((spec.values, mean), (spec.variance, var)):
+            want = want[mirror]
+            assert np.max(np.abs(got - want)) <= \
+                1e-14 * np.max(np.abs(want))
 
 
 def test_cis_is_within_an_ulp_of_complex_exp():

@@ -487,6 +487,58 @@ def test_cli_rejects_bad_filter_parameters(cli_ws, capsys, argv, message):
     assert not out.exists()
 
 
+_FLAG_ARGV = {"epsilon": ["--epsilon", "0.5"], "theta": ["--theta", "1"],
+              "variant": ["--variant", "t0"], "max_lag": ["--max-lag", "1e-3"],
+              "window": ["--window", "hann"], "lockin": ["--lockin"],
+              "bandwidth": ["--bandwidth", "50"]}
+_MODE_ARGV = {"spectrum": [["--mode", "rhet"], ["--mode", "welch"],
+                           ["--mode", "cross"],
+                           ["--mode", "rhet", "--lockin"]],
+              "analytic": [["--kind", "homodyne"], ["--kind", "heterodyne"],
+                           ["--kind", "rhet"]]}
+
+
+def _selects(argv, mode):
+    dest, value = mode
+    flag = "--" + dest
+    return flag in argv and (value is True
+                             or argv[argv.index(flag) + 1] == value)
+
+
+def test_cli_every_mode_flag_acts_or_exits_2(cli_ws, capsys):
+    # walk the table of flags each mode reads: each mode, given a flag that
+    # no mode it selects reads, exits 2 naming the modes that read it
+    from rhet.cli import _MODE_FLAGS
+    out = cli_ws / "unread_flag.csv"
+    walked = set()
+    for cmd, rows in _MODE_FLAGS.items():
+        source = (["--in", str(cli_ws / "trace.rht"), "--segments", "8"]
+                  if cmd == "spectrum" else
+                  ["--config", str(cli_ws / "config.json")])
+        for name in {n for flags in rows.values() for n in flags}:
+            readers = [m for m, flags in rows.items() if name in flags]
+            for mode in _MODE_ARGV[cmd]:
+                if any(_selects(mode, m) for m in readers):
+                    continue
+                rc = main([cmd] + mode + _FLAG_ARGV[name] + source
+                          + ["--out", str(out)])
+                err = capsys.readouterr().err
+                assert rc == 2, (cmd, mode, name)
+                assert _FLAG_ARGV[name][0] + " needs" in err
+                for dest, value in readers:
+                    assert "--" + dest + ("" if value is True
+                                          else " " + value) in err
+                assert not out.exists()
+                walked.add((cmd, mode[1], name))
+    # the cases that once exited 0 with the flag ignored
+    assert {("spectrum", "welch", "epsilon"),
+            ("spectrum", "rhet", "bandwidth"),
+            ("analytic", "heterodyne", "epsilon"),
+            ("analytic", "heterodyne", "variant"),
+            ("analytic", "heterodyne", "theta"),
+            ("analytic", "homodyne", "epsilon")} <= walked
+
+
 @pytest.mark.parametrize("variant", ["tbar", "t0"])
 def test_cli_lag_window_spectrum_matches_the_api(cli_ws, variant):
     out = cli_ws / f"lag_{variant}.csv"
@@ -539,11 +591,14 @@ def test_cli_fuzzed_filter_arguments_exit_cleanly(tiny_trace_path,
                                                   tmp_path_factory, cmd, theta,
                                                   epsilon, segments):
     out = tmp_path_factory.mktemp("fuzz") / "out.csv"
-    # "--flag=value", since argparse reads a bare "-1e-05" or "-inf" as a flag
+    # "--flag=value", since argparse reads a bare "-1e-05" or "-inf" as a
+    # flag; the welch and cross modes read no filter flags
     argv = cmd + ["--in", str(tiny_trace_path), "--out", str(out),
-                  f"--epsilon={epsilon!r}", f"--segments={segments}"]
-    if cmd[0] == "spectrum":
-        argv.append(f"--theta={theta!r}")
+                  f"--segments={segments}"]
+    if "welch" not in cmd and "cross" not in cmd:
+        argv.append(f"--epsilon={epsilon!r}")
+        if cmd[0] == "spectrum":
+            argv.append(f"--theta={theta!r}")
     rc = main(argv)
     assert rc in (0, 2, 3)
     if rc == 0 and cmd[0] == "spectrum":
