@@ -2,13 +2,14 @@
 recovered phase back into the filtered estimator.
 
 demodulate() shifts the beat note to baseband, low-passes it, decimates,
-and unwraps the angle, all in the frequency domain from one real FFT of
-the trace. It needs a visible beat-note line (a coherent pilot or a strong
-carrier leak); with shot noise alone there is nothing to lock to and it
-raises.
+and unwraps the angle from the few DFT bins round the beat and a control
+band, making no array the length of the trace. It needs a visible beat-note
+line (a coherent pilot or a strong carrier leak); with shot noise alone
+there is nothing to lock to and it raises.
 """
 from __future__ import annotations
 
+import logging
 from typing import Optional
 
 import numpy as np
@@ -19,28 +20,45 @@ from .estimator import rhet_spectrum
 # envelope at the beat must beat the control band by this factor
 _DETECT_RATIO = 10.0
 _CONTROL_OFFSET_HZ = 5.0e3
+_log = logging.getLogger(__name__)
 
 
-def _baseband(spec, n, k_per_rad, omega, bandwidth_hz, m):
-    """m evenly spaced samples over the record of the low-passed complex
-    baseband 2 x(t) e^{-i omega t}, from spec = rfft(x).
+def _stride(n: int) -> int:
+    """Least divisor P of n with n/P <= 2^18, else the largest P <= 4096."""
+    divs = [p for p in range(1, min(n, 4096) + 1) if n % p == 0]
+    return next((p for p in divs if n // p <= 1 << 18), divs[-1])
 
-    Takes the m bins centred on the bin k0 nearest omega, weights them by
+
+def _dft_bins(x, n, p, k):
+    """Bins k (mod n) of the n-point DFT of x, from the rffts Y_a of x[a::p],
+    q = n/p points each: X[k] = sum_a e^{-2 pi i k a/n} Y_a[k mod q]."""
+    q = n // p
+    neg = k % q > q // 2
+    r = np.where(neg, -k % q, k % q)
+    out = np.zeros(k.shape, complex)
+    for a in range(p):
+        y = np.fft.rfft(x[a::p], q)[r]
+        np.conjugate(y, out=y, where=neg)
+        # k a reduced in integers keeps the twiddle exact at any n
+        out += y * np.exp(-1j * TWO_PI / n * (k * a % n))
+    return out
+
+
+def _baseband(x, k, n, k_per_rad, omega, bandwidth_hz):
+    """Per row, m evenly spaced samples over the record of the low-passed
+    complex baseband 2 x(t) e^{-i omega t}, from x = the DFT bins k.
+
+    k are the m bins centred on the bin k0 nearest omega. Weights them by
     the zero-phase Butterworth magnitude |H|^2 = 1/(1 + (df/bandwidth)^8),
     folds them mod m and inverts with one m-point FFT. The factor
     e^{i(omega_k0 - omega) t} then restores the exact beat, so an off-grid
     beat loses nothing.
     """
-    k0 = int(round(omega * k_per_rad))
-    k = k0 + np.arange(-(m // 2), m - m // 2)
-    # bins outside [0, n/2] are the mirrored conjugates of a real signal
-    kk = k % n
-    neg = kk > n // 2
-    x = spec[np.where(neg, n - kk, kk)]
-    x[neg] = np.conj(x[neg])
+    m = k.shape[-1]
+    k0 = k[:, m // 2, None]
     df_hz = (k / k_per_rad - omega) / TWO_PI
-    x *= (2.0 / n) / (1.0 + (df_hz / bandwidth_hz) ** 8)
-    z = np.fft.ifft(np.roll(x, -(m // 2)), norm="forward")
+    x = x * (2.0 / n) / (1.0 + (df_hz / bandwidth_hz) ** 8)
+    z = np.fft.ifft(np.roll(x, -(m // 2), axis=-1), norm="forward")
     # sample p sits at t = p n dt / m, so the bin offset costs a phase
     # (k0 - omega k_per_rad) 2 pi p / m
     return z * np.exp(1j * TWO_PI * (k0 - omega * k_per_rad) * np.arange(m) / m)
@@ -59,9 +77,11 @@ def demodulate(trace: TimeTrace, bandwidth_hz: float = 200.0) -> PhaseSeries:
     Shifts the beat to baseband and applies the magnitude response of a
     4th-order Butterworth low-pass of the given bandwidth, run forward and
     backward: |H|^2 = 1/(1 + (df/bandwidth)^8), zero phase. The filter acts
-    on the bins of one real FFT of the trace, zero-padded to the next
+    on the N-point DFT bins of the trace, zero-padded to the next
     2^a 3^b 5^c length N where the pad fits in the edge trim below, so the
     record is treated as periodic and nothing runs at the full sample rate.
+    Those bins alone are computed, from rffts of the stride-P subsequences
+    of the trace; the "rhet.lockin" logger gives SNR, N, P, step and trim.
     Of round(N/step) points spread evenly over the padded record, those on
     the record are output, step being roughly 8 samples per filter time
     constant; when step divides n = N this is the times()[::step] grid.
@@ -86,11 +106,12 @@ def demodulate(trace: TimeTrace, bandwidth_hz: float = 200.0) -> PhaseSeries:
     m = int(round(n_fft / step))
     if m < 2:
         raise ValueError("trace too short for the lock-in bandwidth")
-    spec = np.fft.rfft(trace.samples, n_fft)
     k_per_rad = n_fft * trace.dt / TWO_PI
-    z = _baseband(spec, n_fft, k_per_rad, om, bandwidth_hz, m)
-    zc = _baseband(spec, n_fft, k_per_rad, om + TWO_PI * _CONTROL_OFFSET_HZ,
-                   bandwidth_hz, m)
+    oms = np.array([[om], [om + TWO_PI * _CONTROL_OFFSET_HZ]])
+    k = np.rint(oms * k_per_rad).astype(np.int64) + np.arange(m) - m // 2
+    p = _stride(n_fft)
+    z, zc = _baseband(_dft_bins(trace.samples, n_fft, p, k), k, n_fft,
+                      k_per_rad, oms, bandwidth_hz)
     dt_out = n_fft * trace.dt / m
     # the samples on the record, not on its zero pad
     m = -(-n * m // n_fft)
@@ -104,6 +125,8 @@ def demodulate(trace: TimeTrace, bandwidth_hz: float = 200.0) -> PhaseSeries:
     control = np.mean(np.abs(zc[core]) ** 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         snr = np.sqrt(power / control)
+    _log.info("lock-in: snr %.3g, n_fft %d, P %d, step %d, m %d, trim %d",
+              snr, n_fft, p, step, m, trim)
     # written so that an empty trace (0/0 = NaN) fails too
     if not snr >= _DETECT_RATIO:
         raise ValueError(
@@ -112,9 +135,11 @@ def demodulate(trace: TimeTrace, bandwidth_hz: float = 200.0) -> PhaseSeries:
             f"omega_beat")
     theta = np.unwrap(np.angle(z))
     times = np.arange(m) * dt_out
-    if theta.size - 2 * trim >= 8:
-        theta = theta[trim:theta.size - trim]
-        times = times[trim:times.size - trim]
+    if m - 2 * trim < 8:
+        _log.warning("lock-in: %d points are too few to trim %d from each "
+                     "end; the filter's edge transients stay", m, trim)
+        trim = 0
+    theta, times = theta[trim:m - trim], times[trim:m - trim]
     return PhaseSeries(times=times, theta=theta)
 
 

@@ -1,8 +1,10 @@
 """Software lock-in: phase recovery on pilot-carrying traces and the
 guard rails around it."""
 import dataclasses
+import logging
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ import pytest
 from rhet import (PhaseDriftSpec, TimeTrace, demodulate, phase_drift,
                   synth_gaussian_trace)
 from rhet.core import TWO_PI
-from rhet.lockin import _smooth_size
+from rhet import lockin
+from rhet.lockin import _dft_bins, _smooth_size, _stride
 
 PILOT = 2500.0  # ~90x detection margin over the thermal envelope noise
 
@@ -93,6 +96,102 @@ def test_smooth_size_is_the_next_2_3_5_smooth_length():
     assert _smooth_size(2_499_999) == 2_500_000
     assert _smooth_size(2_500_001) == 2_519_424
     assert _smooth_size(39_062) == 39_366
+
+
+def test_stride_is_the_smallest_divisor_that_fits_2_18_points():
+    # 2^18 = 262 144; with no fitting divisor under the cap, the largest one
+    # under it: 1 for a prime, which is a single rfft of the whole record
+    assert _stride(2_500_000) == 10
+    assert _stride(10_000_000) == 40
+    assert _stride(2_519_424) == 12
+    assert _stride(2_499_999) == 191  # 3 x 191 x 4363
+    assert _stride(2 * 1_000_003) == 2
+    assert _stride(1_000_003) == 1
+    assert _stride(720) == 1
+
+
+def _mirror_bins(q, n):
+    """Bins on both sides of each sub-transform's q/2 mirror, with DC and
+    Nyquist, all within [0, n/2]."""
+    k = [0, 1, n // 2 - 1, n // 2]
+    k += [j * q + q // 2 + d for j in range(4) for d in (-1, 0, 1, 2)]
+    return np.array([v for v in k if 0 <= v <= n // 2])
+
+
+@pytest.mark.parametrize("n, size, p", [
+    (2_500_000, 2_500_000, None),   # 2^4 5^7: P = 10
+    (2_519_424, 2_500_001, None),   # zero-padded, 2^7 3^9: P = 12
+    (1_000_003, 1_000_003, None),   # prime: P = 1
+    (720, 720, 8), (720, 720, 45), (720, 700, 16), (721, 721, 7),
+])
+def test_dft_bins_match_the_full_rfft(n, size, p):
+    x = np.random.default_rng(n).standard_normal(size) + 3.0
+    p = _stride(n) if p is None else p
+    full = np.fft.rfft(x, n)
+    k = np.concatenate([_mirror_bins(n // p, n),
+                        np.linspace(0, n // 2, 301).astype(int)])
+    err = np.abs(_dft_bins(x, n, p, k) - full[k])
+    assert np.max(err) < 1e-13 * np.max(np.abs(full))
+    # bins past n/2, or negative, are the conjugate mirror
+    assert np.allclose(_dft_bins(x, n, p, -k), np.conj(full[k]),
+                       rtol=0, atol=1e-13 * np.max(np.abs(full)))
+
+
+def _full_rfft_bins(x, n, p, k):
+    spec = np.fft.rfft(x, n)
+    kk = k % n
+    neg = kk > n // 2
+    out = spec[np.where(neg, n - kk, kk)]
+    out[neg] = np.conj(out[neg])
+    return out
+
+
+@pytest.mark.parametrize("n, beat_hz, phase", [
+    (2_500_000, 10_000.0, lambda t: phase_drift(t, 0.7, np.pi / 4, 25.0)),
+    (2_500_001, 10_003.3, lambda t: np.full_like(t, -1.1)),
+], ids=["sine drift", "off-grid beat, padded"])
+def test_demodulate_matches_a_full_rfft_reference(monkeypatch, n, beat_hz,
+                                                  phase):
+    tr = _pilot_trace(n, beat_hz, phase)
+    tr = dataclasses.replace(
+        tr, samples=tr.samples + np.random.default_rng(2).normal(0, 30, n))
+    ps = demodulate(tr)
+    monkeypatch.setattr(lockin, "_dft_bins", _full_rfft_bins)
+    ref = demodulate(tr)
+    assert ps.times.tobytes() == ref.times.tobytes()
+    assert np.max(np.abs(ps.theta - ref.theta)) < 1e-12
+
+
+def test_demodulate_holds_no_record_length_array():
+    # the full rfft alone was 8 bytes per sample, 100 % of the trace's bytes
+    tr = _pilot_trace(2_500_000, 10_000.0, lambda t: np.full_like(t, 0.3))
+    demodulate(tr)
+    tracemalloc.start()
+    try:
+        demodulate(tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * tr.samples.nbytes
+
+
+def test_demodulate_logs_its_decisions(caplog):
+    caplog.set_level(logging.INFO, logger="rhet.lockin")
+    demodulate(_pilot_trace(500_000, 10_000.0, lambda t: np.full_like(t, 0.2)))
+    (rec,) = caplog.records
+    assert rec.name == "rhet.lockin" and rec.levelno == logging.INFO
+    assert rec.getMessage().startswith("lock-in: snr ")
+    # ceil(15 ms / 625 us) rounds 24 + 1 ulp up to 25
+    assert rec.getMessage().endswith(
+        "n_fft 500000, P 2, step 3125, m 160, trim 25")
+    caplog.clear()
+    # 32 points of 625 us cannot lose 25 at each end
+    ps = demodulate(_pilot_trace(100_000, 10_000.0,
+                                 lambda t: np.full_like(t, 0.2)))
+    assert ps.times[0] == 0.0
+    assert [r.levelno for r in caplog.records] == [logging.INFO,
+                                                   logging.WARNING]
+    assert "edge transients" in caplog.records[1].getMessage()
 
 
 def test_padded_record_keeps_the_padded_output_grid():
