@@ -20,9 +20,9 @@ from .analytic import (field_spectra, filter_coefficients, heterodyne_psd,
                        homodyne_psd, rhet_prediction)
 from .core import TWO_PI, ConfigError, PhaseDriftSpec, validate_config
 from .estimator import complex_corr_spectrum, rhet_spectrum, standard_psd
-from .io import (CONFIG_SCHEMA_VERSION, TRACE_VERSION, compare_spectra,
-                 read_config, read_spectrum, read_trace, write_map,
-                 write_spectrum, write_trace)
+from .io import (CONFIG_SCHEMA_VERSION, TRACE_VERSION, _atomic_write,
+                 compare_spectra, read_config, read_spectrum, read_trace,
+                 write_map, write_spectrum, write_trace)
 from .lockin import demodulate
 from .mapper import theta_map_exact, theta_map_fast, normalize_map
 from .synth import synth_gaussian_trace
@@ -99,9 +99,6 @@ def _build_parser():
     s.add_argument("--normalize", choices=("none", "het"), default="none",
                    help="het: scale so the heterodyne peak in --band reads 1")
     s.add_argument("--format", choices=("csv", "npz"), default="csv")
-    s.add_argument("--workers", type=int, default=None,
-                   help="threads for the stream basis and the map rows "
-                        "(default: every usable CPU); any count, same bytes")
 
     s = sub.add_parser("analytic", help="closed-form reference spectra")
     s.add_argument("--config", required=True)
@@ -194,7 +191,7 @@ def _cmd_map(args) -> int:
     trace = read_trace(args.infile)
     fn = theta_map_exact if args.exact else theta_map_fast
     m = fn(trace, args.epsilon, n_theta=args.thetas, variant=args.variant,
-           segments=args.segments, band=args.band, workers=args.workers)
+           segments=args.segments, band=args.band)
     if args.normalize == "het":
         c0 = filter_coefficients(args.epsilon, 0)
         if c0 <= 0:
@@ -252,8 +249,8 @@ def _cmd_compare(args) -> int:
                              min_pearson=args.min_pearson)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
+        _atomic_write(args.report, lambda fh: fh.write(text + "\n"),
+                      binary=False)
     print(text)
     return 0 if report["pass"] else 1
 

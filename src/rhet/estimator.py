@@ -19,23 +19,21 @@ carries half the drift correction). The filter's Fourier series gives
     S(eps, theta, w) = c0 P0 + c1 Re[e^{-2i theta} G];
 
 harmonics k >= 3 demodulate content at 2k Om, where stationary input has
-none. The running mean and co-moment M (Welford, fixed segment order) of
-(P0, Re G, Im G) is memoised per trace, so each further (eps, theta) costs
-O(n_freq); the variance of a = (c0, c1 cos 2theta, c1 sin 2theta) applied
-to it is a^T M a / (S(S-1)).
+none. The running mean and co-moment M (Welford, fixed segment order, one
+entry per pair of rows) of (P0, Re G, Im G) is memoised per trace, so each
+further (eps, theta) costs O(n_freq); the variance of
+a = (c0, c1 cos 2theta, c1 sin 2theta) applied to it is a^T M a / (S(S-1)).
 
-eps = +1 makes F = 1, and both variants are then standard_psd: P0's
-moments from a basis or a t0 memo the trace already holds, else one rfft
-per segment. t0 uses the literal filter F = a + b s, a = (1+eps)/2,
-b = (1-eps)/2, s the +-1 square wave, so S = a P0 + b T with
-T = dt/N Re[conj(FFT(s i)) FFT(i)] per segment. Its per-trace memo holds
-FFT(i) of each segment (read-only, 8n bytes for n samples) and, unless a
-basis's P0 row gives them to the bit, P0's mean and co-moment. Per theta
-and phase series it holds T's mean and co-moment and
-2 sum_s (P0_s - mean P0) T_s, the P0-T cross co-moment summed both ways:
-3 rows of n_seg/2+1 floats, for the last _T0_THETAS = 4 theta. A theta
-thus costs one rfft per segment and each further eps there O(n_freq);
-eps = -1 reads T's rows alone, bit for bit. When the sampling is
+eps = +1 makes F = 1, and both variants are then standard_psd: row 0 of
+any basis or t0 entry the trace holds, else one rfft per segment. t0 uses
+the literal filter F = a + b s, a = (1+eps)/2, b = (1-eps)/2, s the +-1
+square wave, so S = a P0 + b T with T = dt/N Re[conj(FFT(s i)) FFT(i)]
+per segment: the same engine on the rows (P0, T) with weights (a, b). Its
+per-trace memo holds FFT(i) of each segment (read-only, 8n bytes for n
+samples) and, per theta and phase series, the moments of (P0, T): 2 mean
+and 3 co-moment rows of n_seg/2+1 floats, for the last _T0_THETAS = 4
+theta. A theta thus costs one rfft per segment and each further eps there
+O(n_freq); eps = -1 weighs P0 by 0 and keeps T's bits. When the sampling is
 commensurate with the filter period and a discontinuity lands exactly on
 the sample grid, the discrete filter's mean shifts by +-(1-eps)/M (M
 samples per filter period) and leaks that fraction of the heterodyne
@@ -333,15 +331,19 @@ def _on_threads(body, count, workers, consume=lambda out: None):
 
 class _Moments:
     """Running mean and co-moment (Welford) of a stack of K real rows,
-    updated in call order so the result is reproducible to the bit."""
+    updated in call order so the result is reproducible to the bit. The
+    co-moment is symmetric, so m2 holds it once per pair i <= j, in the
+    order of `pairs`."""
 
-    count, mean, m2 = 0, None, None
+    count, mean, m2, pairs = 0, None, None, ()
 
     def add(self, rows):
         self.count += 1
         if self.count == 1:
             self.mean = np.array(rows, dtype=float)
-            self.m2 = np.zeros((len(rows),) + self.mean.shape)
+            k = len(rows)
+            self.pairs = [(i, j) for i in range(k) for j in range(i, k)]
+            self.m2 = np.zeros((len(self.pairs),) + self.mean.shape[1:])
             return
         d_old = rows - self.mean
         step = np.divide(d_old, self.count)
@@ -349,19 +351,16 @@ class _Moments:
         d_new = np.subtract(rows, self.mean, out=step)
         # one co-moment entry at a time, in place: no K x K x n temporary
         prod = np.empty(self.mean.shape[1:])
-        k = range(len(rows))
-        for i in k:
-            for j in k:
-                self.m2[i, j] += np.multiply(d_old[i], d_new[j], out=prod)
+        for m2, (i, j) in zip(self.m2, self.pairs):
+            m2 += np.multiply(d_old[i], d_new[j], out=prod)
 
     def variance(self, a):
         """Variance of the mean of sum_k a_k row_k (for complex a the total,
         real plus imaginary, variance); None for one row."""
         if self.count < 2:
             return None
-        k = range(len(a))
-        q = np.real(sum(np.conj(a[i]) * a[j] * self.m2[i, j]
-                        for i in k for j in k))
+        q = sum((1.0 if i == j else 2.0) * np.real(np.conj(a[i]) * a[j]) * m2
+                for m2, (i, j) in zip(self.m2, self.pairs))
         return np.maximum(q, 0.0) / (self.count * (self.count - 1))
 
 
@@ -465,83 +464,68 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
     return moments
 
 
-def _p0_moments(trace: TimeTrace, segments: int, spectra=None) -> _Moments:
+def _p0_moments(trace: TimeTrace, segments: int) -> _Moments:
     """Welch's moments of P0 = dt/N |rfft i|^2 over the segments: row 0 of
-    a held stream basis (the same bits) or of the t0 route's P0 memo, else
-    built from the segments' rffts `spectra` (then memoised) or one rfft
-    per segment."""
-    memo = trace._bases
-    bases = (m for key, m in memo.items() if key[:2] == ("basis", segments))
-    moments = next(bases, memo.get(("p0", segments)))
+    a stream basis or t0 entry the trace holds for them (the same bits),
+    else one rfft per segment."""
+    held = (m for key, m in trace._bases.items()
+            if key[0] in ("basis", "t0") and key[1] == segments)
+    moments = next(held, None)
     if moments is None:
         n, views = _segments(trace, segments)
         moments = _Moments()
-        for f_i in spectra or (np.fft.rfft(seg) for _, seg in views):
-            p = np.abs(f_i[None])
+        for _, seg in views:
+            p = np.abs(np.fft.rfft(seg)[None])
             np.square(p, out=p)
             p *= trace.dt / n
             moments.add(p)
-        if spectra:
-            memo["p0", segments] = moments
     return moments
 
 
 _T0_THETAS = 4  # theta entries of a trace's t0 memo; the oldest goes first
 
 
-def _t0_rows(trace: TimeTrace, segments: int, f: FilterSpec,
-             phase_correction: Optional[PhaseSeries]):
-    """Mean and variance of the t0 spectrum of filter f on the shifted grid,
-    from the moments of P0 = dt/N |rfft i|^2 and of T = dt/N
-    Re[conj(rfft(s i)) rfft(i)], s = f at eps = -1; the module docstring
+def _t0_moments(trace: TimeTrace, segments: int, f: FilterSpec,
+                phase_correction: Optional[PhaseSeries]) -> _Moments:
+    """Moments of the (P0, T) rows over the segments of a trace, on the
+    non-negative bins: P0 = dt/N |rfft i|^2 and T = dt/N
+    Re[conj(rfft(s i)) rfft(i)], s = f at eps = -1. The module docstring
     gives the memo."""
     n, views = _segments(trace, segments)
     memo = trace._bases
     key = ("t0", segments, _series_key(phase_correction), f.phase_offset)
-    if key not in memo:
-        if ("rfft", segments) not in memo:
-            memo["rfft", segments] = tuple(np.fft.rfft(s) for _, s in views)
-            for f_i in memo["rfft", segments]:
-                f_i.flags.writeable = False
-        spectra = memo["rfft", segments]
-        p_mean = _p0_moments(trace, segments, spectra).mean[0]
-        t, scale = np.arange(n) * trace.dt, trace.dt / n
-        square, moments, cross = replace(f, epsilon=-1.0), _Moments(), 0.0
-        for (t_off, seg), f_i in zip(views, spectra):
-            w = eval_filter(square, t + t_off)
-            w *= seg
-            z = np.fft.rfft(w)
-            np.conj(z, out=z)
-            z *= f_i
-            row = np.multiply(z.real, scale)
-            moments.add(row[None])
-            p = np.abs(f_i)  # the cross co-moment sum_s (P0_s - mean) T_s
-            np.square(p, out=p)
-            p *= scale
-            p -= p_mean
-            cross += p * row
-        memo[key] = (moments.mean[0], moments.m2[0, 0], 2.0 * cross)
-        for old in [k for k in memo if k[0] == "t0"][:-_T0_THETAS]:
-            del memo[old]
-    p0, (t_mean, t_m2, x_m2) = _p0_moments(trace, segments), memo[key]
-    a, b = 0.5 * (1.0 + f.epsilon), 0.5 * (1.0 - f.epsilon)
-    values, variance = b * t_mean, (b * b) * t_m2
-    if a:  # at eps = -1, b = 1: T's own bits
-        values += a * p0.mean[0]
-        variance += (a * a) * p0.m2[0, 0] + (a * b) * x_m2
-    if segments < 2:
-        return _mirror(values, n), None
-    variance = np.maximum(variance, 0.0) / (segments * (segments - 1))
-    return _mirror(values, n), _mirror(variance, n)
+    if key in memo:
+        return memo[key]
+    if ("rfft", segments) not in memo:
+        memo["rfft", segments] = tuple(np.fft.rfft(s) for _, s in views)
+        for f_i in memo["rfft", segments]:
+            f_i.flags.writeable = False
+    t, scale = np.arange(n) * trace.dt, trace.dt / n
+    square, moments = replace(f, epsilon=-1.0), _Moments()
+    rows = np.empty((2, n // 2 + 1))
+    for (t_off, seg), f_i in zip(views, memo["rfft", segments]):
+        w = eval_filter(square, t + t_off)
+        w *= seg
+        z = np.fft.rfft(w)
+        np.conj(z, out=z)
+        z *= f_i
+        np.square(np.abs(f_i, out=rows[0]), out=rows[0])
+        rows[0] *= scale
+        np.multiply(z.real, scale, out=rows[1])
+        moments.add(rows)
+    memo[key] = moments
+    for old in [k for k in memo if k[0] == "t0"][:-_T0_THETAS]:
+        del memo[old]
+    return moments
 
 
 def standard_psd(trace: TimeTrace, segments: int = 1) -> Spectrum:
     """Plain Welch PSD with a boxcar window, two-sided, segment-averaged:
     S = mean_s dt/N |FFT i_s|^2. Variance is the across-segment sample
     variance of the mean (ddof=1, divided by the segment count). A stream
-    basis the trace already holds for the same segments gives it, weight 1
-    on its P0 row (the same periodogram, bit for bit) and 0 on its G rows,
-    as does the t0 route's P0 memo; otherwise each segment takes one rfft.
+    basis or t0 entry the trace already holds for the same segments gives
+    it, weight 1 on its P0 row (the same periodogram, bit for bit) and 0 on
+    the others; otherwise each segment takes one rfft.
     """
     n_seg, _ = _segments(trace, segments)
     moments = _p0_moments(trace, segments)
@@ -587,12 +571,14 @@ def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
     elif epsilon == 1.0:
         welch = standard_psd(trace, segments)
         values, variance = welch.values, welch.variance
-    elif variant == "tbar":
-        moments = _stream_basis(trace, segments, variant, phase_correction)
-        values, variance = _two_sided(
-            moments, _quadrature_weights(epsilon, [theta]), n_fft)
     else:
-        values, variance = _t0_rows(trace, segments, fspec, phase_correction)
+        if variant == "tbar":
+            moments = _stream_basis(trace, segments, variant, phase_correction)
+            a = _quadrature_weights(epsilon, [theta])
+        else:  # the literal filter F = a + b s on the rows (P0, T)
+            moments = _t0_moments(trace, segments, fspec, phase_correction)
+            a = 0.5 * np.array([[1.0 + fspec.epsilon, 1.0 - fspec.epsilon]])
+        values, variance = _two_sided(moments, a, n_fft)
     return Spectrum(
         freqs=_spectrum_grid(n_fft, dt), values=values, variance=variance,
         meta={"kind": "rhet", "variant": variant, "epsilon": float(epsilon),

@@ -316,7 +316,7 @@ def _drift_series(trace):
     return PhaseSeries(times=ts, theta=0.3 * np.sin(12.0 * ts))
 
 
-@pytest.mark.parametrize("basis", ["static", "drift", "t0"])
+@pytest.mark.parametrize("basis", ["static", "drift", "t0", "t0 entry"])
 @pytest.mark.parametrize("n", [4 * 4096, 4 * 4095])
 def test_welch_from_a_stream_basis_is_bit_identical(short_trace, monkeypatch,
                                                     basis, n):
@@ -324,6 +324,8 @@ def test_welch_from_a_stream_basis_is_bit_identical(short_trace, monkeypatch,
                       dt=short_trace.dt, omega_beat=short_trace.omega_beat)
     if basis == "t0":
         theta_map_fast(trace, -1.0, n_theta=4, variant="t0", segments=4)
+    elif basis == "t0 entry":  # the literal filter's (P0, T) moments
+        rhet_spectrum(trace, -0.5, 0.3, variant="t0", segments=4)
     else:
         rhet_spectrum(trace, -1.0, 0.3, segments=4, phase_correction=(
             _drift_series(trace) if basis == "drift" else None))
@@ -338,7 +340,7 @@ def test_segment_spectrum_memo_keys_and_contract(short_trace, monkeypatch):
     trace = _fresh(short_trace)
     h = trace.n // 8 + 1
     rhet_spectrum(trace, -1.0, 0.3, variant="t0", segments=4)
-    assert set(trace._bases) == {("rfft", 4), ("p0", 4), ("t0", 4, None, 0.6)}
+    assert set(trace._bases) == {("rfft", 4), ("t0", 4, None, 0.6)}
     spectra = trace._bases[("rfft", 4)]
     assert len(spectra) == 4
     assert sum(f.nbytes for f in spectra) == 4 * 16 * h
@@ -346,39 +348,37 @@ def test_segment_spectrum_memo_keys_and_contract(short_trace, monkeypatch):
         assert not f.flags.writeable
         with pytest.raises(ValueError):
             f[0] = 0.0
-    # P0's mean and co-moment once per trace; per theta T's mean, T's
-    # co-moment and the summed cross co-moment: 3 rows
-    p0 = trace._bases[("p0", 4)]
-    assert (p0.mean.shape, p0.m2.shape) == ((1, h), (1, 1, h))
-    assert [r.shape for r in trace._bases[("t0", 4, None, 0.6)]] == [(h,)] * 3
+    # per theta the moments of (P0, T): 2 mean rows, 3 co-moment rows
+    t0 = trace._bases[("t0", 4, None, 0.6)]
+    assert (t0.mean.shape, t0.m2.shape) == ((2, h), (3, h))
     with monkeypatch.context() as m:
         _no_rfft(m)  # any eps at a held theta reads the memo
         rhet_spectrum(trace, 0.2, 0.3, variant="t0", segments=4)
-    assert len(trace._bases) == 3
+    assert len(trace._bases) == 2
     rhet_spectrum(trace, -1.0, 0.3, variant="t0", segments=8)
     rhet_spectrum(trace, -1.0, 0.3, variant="t0", segments=4,
                   phase_correction=_drift_series(trace))
     assert {k[:2] for k in trace._bases} == {
-        ("rfft", 4), ("p0", 4), ("t0", 4), ("rfft", 8), ("p0", 8), ("t0", 8)}
-    assert len(trace._bases) == 7
+        ("rfft", 4), ("t0", 4), ("rfft", 8), ("t0", 8)}
+    assert len(trace._bases) == 5
     # eps = +1 is standard_psd for either variant: it adds no memo entry,
-    # and on a trace holding P0's moments or a basis it transforms nothing
+    # and on a trace holding a t0 entry or a basis it transforms nothing
     with monkeypatch.context() as m:
         _no_rfft(m)
         for variant in ("tbar", "t0"):
             rhet_spectrum(trace, 1.0, 0.3, variant=variant, segments=4)
-    assert len(trace._bases) == 7
+    assert len(trace._bases) == 5
     rhet_spectrum(trace, -1.0, 0.3, variant="tbar", segments=4)
     with monkeypatch.context() as m:
         _no_rfft(m)
         for variant in ("tbar", "t0"):
             rhet_spectrum(trace, 1.0, 0.3, variant=variant, segments=4)
-    assert len(trace._bases) == 8
-    # a held basis's P0 row gives P0's moments, to the bit: no p0 entry
+    assert len(trace._bases) == 6
+    # a held basis leaves the t0 route its own rows: the same bits
     held = _fresh(short_trace)
     rhet_spectrum(held, -1.0, 0.3, segments=4)
     got = rhet_spectrum(held, 0.2, 1.1, variant="t0", segments=4)
-    assert ("p0", 4) not in held._bases
+    assert {k[0] for k in held._bases} == {"basis", "rfft", "t0"}
     want = rhet_spectrum(_fresh(short_trace), 0.2, 1.1, variant="t0",
                          segments=4)
     assert got.values.tobytes() == want.values.tobytes()
@@ -397,13 +397,66 @@ def test_t0_memo_keeps_a_bounded_number_of_thetas(short_trace):
     theta_map_exact(trace, 0.0, n_theta=3 * _T0_THETAS, variant="t0",
                     segments=4)
     assert sum(k[0] == "t0" for k in trace._bases) == _T0_THETAS
-    assert len(trace._bases) == 2 + _T0_THETAS
+    assert len(trace._bases) == 1 + _T0_THETAS
     # an evicted theta comes back with the same bits
     again = rhet_spectrum(trace, -0.5, thetas[0], variant="t0", segments=4)
     fresh = rhet_spectrum(_fresh(trace), -0.5, thetas[0], variant="t0",
                           segments=4)
     assert again.values.tobytes() == fresh.values.tobytes()
     assert again.variance.tobytes() == fresh.variance.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_symmetric_co_moment_gives_the_sample_variance(k):
+    # one co-moment row per pair i <= j; correlated rows, so the
+    # off-diagonal pairs carry weight
+    from rhet.estimator import _Moments
+    rng = np.random.default_rng(k)
+    segments, h = 9, 65
+    mix = rng.standard_normal((k, k)) + 2.0 * np.eye(k)
+    rows = np.einsum("ij,sjh->sih", mix, rng.standard_normal((segments, k, h)))
+    rows += rng.uniform(1.0, 5.0, (1, k, 1))
+    moments = _Moments()
+    for r in rows:
+        moments.add(r)
+    assert moments.m2.shape == (k * (k + 1) // 2, h)
+    weights = [rng.standard_normal(k), np.ones(k)]
+    if k == 2:
+        weights.append(np.array([1.0, 1j]))  # the cross-spectrum's
+    for a in weights:
+        want = np.var(np.einsum("k,skh->sh", a, rows), axis=0,
+                      ddof=1) / segments
+        got = moments.variance(a)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+    # unit weights read one row's co-moment: the one-row Welford's bits
+    for i in range(k):
+        one = _Moments()
+        for r in rows:
+            one.add(r[i:i + 1])
+        assert moments.mean[i].tobytes() == one.mean[0].tobytes()
+        assert moments.variance(np.eye(k)[i]).tobytes() == \
+            one.variance((1.0,)).tobytes()
+
+
+def test_complex_corr_spectrum_variance_follows_per_segment_rows(short_trace):
+    # C_s(w) = dt/N conj(FFT[i e^{-i Om t}]) FFT[i e^{+i Om t}] per segment,
+    # absolute times; variance is the total across-segment variance of the
+    # mean (ddof = 1)
+    segments, dt, om = 8, short_trace.dt, short_trace.omega_beat
+    n = short_trace.n // segments
+    rows = []
+    for s in range(segments):
+        seg = short_trace.samples[s * n:(s + 1) * n]
+        t = (np.arange(n) + s * n) * dt
+        c = np.conj(np.fft.fft(seg * np.exp(-1j * om * t))) \
+            * np.fft.fft(seg * np.exp(1j * om * t))
+        rows.append(np.fft.fftshift(c) * (dt / n))
+    rows = np.array(rows)
+    spec = complex_corr_spectrum(short_trace, segments=segments)
+    want = np.var(rows, axis=0, ddof=1) / segments
+    assert np.max(np.abs(spec.values - rows.mean(axis=0))) <= \
+        1e-12 * np.max(np.abs(spec.values))
+    assert np.max(np.abs(spec.variance - want)) <= 1e-12 * np.max(want)
 
 
 def _welford(rows):

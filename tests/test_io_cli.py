@@ -457,7 +457,7 @@ def test_cli_rejects_segment_counts_below_one(cli_ws, capsys, cmd, segments):
      "epsilon must lie in [-1, 1]"),
     # a signed infinity is a value, not an unknown flag
     (["spectrum", "--theta", "-inf"], "filter phase must be finite"),
-    (["map", "--workers", "0"], "workers must be >= 1"),
+    (["map", "--thetas", "1"], "n_theta must be >= 2"),
     (["synth", "--dt", "0"], "dt must be positive and finite"),
     (["synth", "--dt", "nan"], "dt must be positive and finite"),
     (["synth", "--duration", "inf"], "duration must be positive and finite"),
@@ -762,6 +762,21 @@ def test_cli_compare_pass_fail_and_disjoint(cli_ws, tmp_path):
     # a file that is no spectrum is an I/O error
     assert main(["compare", "--a", str(cli_ws / "trace.rht"),
                  "--b", str(het)]) == 3
+
+
+def test_cli_compare_report_is_stdout_written_atomically(cli_ws, tmp_path,
+                                                         capsys):
+    het = tmp_path / "a.csv"
+    assert main(["analytic", "--config", str(cli_ws / "config.json"),
+                 "--out", str(het), "--kind", "heterodyne",
+                 "--bins-per-gamma", "5"]) == 0
+    report = tmp_path / "rep.json"
+    report.write_text("stale")
+    capsys.readouterr()
+    assert main(["compare", "--a", str(het), "--b", str(het),
+                 "--report", str(report)]) == 0
+    assert report.read_text() == capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "rep.json"]
 
 
 def test_cli_version_prints_and_exits():
