@@ -23,12 +23,18 @@ none. The running mean and co-moment M (Welford, fixed segment order, one
 entry per pair of rows) of (P0, Re G, Im G) is memoised per trace, so each
 further (eps, theta) costs O(n_freq); the variance of
 a = (c0, c1 cos 2theta, c1 sin 2theta) applied to it is a^T M a / (S(S-1)).
+With y = i or e^{-i d/2} i and K = 2 Om N dt / 2 pi an integer (_bin_shift),
+conj(FFT x)[k] = e^{2i Om t_off} FFT(y)[(-k - K) mod N]: per segment the
+"shifted" route takes one rfft (static) or one complex FFT and one rfft
+(drift), the "transformed" route one complex FFT more, and tbar adds two
+for the lag phase e^{i Om tau}. Each build logs its route at DEBUG.
 
 eps = +1 makes F = 1, and both variants are then standard_psd: row 0 of
-any basis or t0 entry the trace holds, else one rfft per segment. t0 uses
-the literal filter F = a + b s, a = (1+eps)/2, b = (1-eps)/2, s the +-1
-square wave, so S = a P0 + b T with T = dt/N Re[conj(FFT(s i)) FFT(i)]
-per segment: the same engine on the rows (P0, T) with weights (a, b). Its
+any basis or t0 entry the trace holds, else one rfft per segment on every
+usable CPU (_on_threads), added in segment order. t0 uses the literal
+filter F = a + b s, a = (1+eps)/2, b = (1-eps)/2, s the +-1 square wave,
+so S = a P0 + b T with T = dt/N Re[conj(FFT(s i)) FFT(i)] per segment:
+the same engine on the rows (P0, T) with weights (a, b). Its
 per-trace memo holds FFT(i) of each segment (read-only, 8n bytes for n
 samples) and, per theta and phase series, the moments of (P0, T): 2 mean
 and 3 co-moment rows of n_seg/2+1 floats, for the last _T0_THETAS = 4
@@ -46,9 +52,11 @@ angular-frequency grids, S = dt * Re FFT(A), so sum(S) dw = 2 pi A(0).
 """
 from __future__ import annotations
 
+import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -56,6 +64,8 @@ import numpy as np
 
 from .analytic import filter_coefficients
 from .core import TWO_PI, FilterSpec, PhaseSeries, Spectrum, TimeTrace
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(eq=False)
@@ -411,6 +421,23 @@ def _series_key(series: Optional[PhaseSeries]):
                                         series.theta.tobytes())
 
 
+# K is exact from the float Om and dt (pi to 40 digits). The shift swaps
+# the ramp e^{-2i Om t} for e^{-2 pi i r m/n}, off by 2 pi |K - r| rad at the
+# segment's end, which moved spectra by 7 to 23 |K - r| of their maximum.
+# 5e-14 keeps the 1e-12 pin against filtered_autocorr: at Om/2pi = 10 kHz
+# and dt = 0.2 us, n = 156 250 is 3.8e-14 off; 312 500 (7.6e-14) moved 1.2e-12.
+_PI = Fraction("3.141592653589793238462643383279502884197")
+_SHIFT_TOL = 5e-14
+
+
+def _bin_shift(n: int, dt: float, om: float) -> Optional[int]:
+    """The down-shift 2 Om in bins of an n-point segment, K = 2 Om n dt /
+    2 pi, when it is an integer r in (0, n) within _SHIFT_TOL; else None."""
+    k = Fraction(om) * n * Fraction(dt) / _PI
+    r = round(k)
+    return r if 0 < r < n and abs(k - r) <= _SHIFT_TOL else None
+
+
 def _stream_basis(trace: TimeTrace, segments: int, variant: str,
                   phase_correction: Optional[PhaseSeries],
                   workers: Optional[int] = None) -> _Moments:
@@ -419,7 +446,7 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
     trace, keyed on the segment count, the variant and the phase series'
     values. Segments run on `workers` threads (see _on_threads), each in
     one workspace of two n-point complex arrays, and add up in segment
-    order: the same bits."""
+    order: the same bits. The module docstring gives the two routes."""
     workers = _thread_count(workers)
     key = ("basis", segments, variant, _series_key(phase_correction))
     if key in trace._bases:
@@ -428,21 +455,39 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
     h = n // 2 + 1
     dt, om = trace.dt, trace.omega_beat
     dyn = _drift_offset(trace, phase_correction)
-    t = np.arange(n) * dt
-    local = _cis((-2.0 * om) * t)
-    lag_phase = _cis(om * _signed_lags(n, dt))
+    shift = _bin_shift(n, dt, om)
+    _log.debug("stream basis: %s route, n_seg %d, K %.15g, %d segments, "
+               "%d samples dropped",
+               "transformed" if shift is None else "shifted", n,
+               om * n * dt / np.pi, segments, trace.n - segments * n)
+    t = np.arange(n) * dt if shift is None or dyn is not None else None
+    local = _cis((-2.0 * om) * t) if shift is None else None
+    lag_phase = _cis(om * _signed_lags(n, dt)) if variant == "tbar" else None
     spaces = [(np.empty(n, dtype=complex), np.empty(n, dtype=complex))
               for _ in range(min(workers, segments))]
 
     def segment_rows(s, slot):
         t_off, seg = views[s]  # x ends as the rows; c as P0 and G
         x, c = spaces[slot]
-        np.multiply(local, _cis((-2.0 * om) * t_off), out=x)
         t_abs = None if dyn is None else np.add(t, t_off, out=c.real)
-        x, y = _demod_pair(seg, x, dyn, t_abs, out=c)
-        _in_place(np.fft.fft, x)
-        np.conj(x, out=x)
-        x *= _fft(y, out=c)
+        scale = dt / n
+        if shift is None:
+            np.multiply(local, _cis((-2.0 * om) * t_off), out=x)
+            x, y = _demod_pair(seg, x, dyn, t_abs, out=c)
+            _in_place(np.fft.fft, x)
+            np.conj(x, out=x)
+            x *= _fft(y, out=c)
+        else:  # a static Y is Hermitian (_fft mirrors it): Y[-j] = conj Y[j]
+            y = seg
+            if dyn is not None:
+                y = _cis(-0.5 * dyn.sample_at(t_abs), out=c)
+                y *= seg
+            y = _fft(y, out=c)
+            m = n - shift + 1
+            np.multiply(y[m - 1::-1], y[:m], out=x[:m])
+            np.multiply(y[n - 1:m - 1:-1], y[m:], out=x[m:])
+            # 1 up to rounding; rounded as the transformed route's phasor
+            scale *= _cis(2.0 * om * t_off)
         if variant == "tbar":
             _in_place(np.fft.ifft, x)
             x *= lag_phase
@@ -453,7 +498,7 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
         np.square(np.abs(c[:h], out=p0), out=p0)
         p0 *= dt / n
         g = _pair(np.add, x, n, out=c[:h])
-        g *= dt / n
+        g *= scale
         rows = x.view(float)[:3 * h].reshape(3, h)
         rows[0], rows[1], rows[2] = p0, g.real, g.imag
         return rows
@@ -467,18 +512,29 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
 def _p0_moments(trace: TimeTrace, segments: int) -> _Moments:
     """Welch's moments of P0 = dt/N |rfft i|^2 over the segments: row 0 of
     a stream basis or t0 entry the trace holds for them (the same bits),
-    else one rfft per segment."""
+    else one rfft per segment on every usable CPU (see _on_threads), each
+    slot in a workspace the calling thread allocates (helper threads that
+    allocate their own outputs left the imaging benchmark's peak RSS 14 MB
+    higher in 4 of 10 runs), added up in segment order."""
     held = (m for key, m in trace._bases.items()
             if key[0] in ("basis", "t0") and key[1] == segments)
     moments = next(held, None)
     if moments is None:
         n, views = _segments(trace, segments)
-        moments = _Moments()
-        for _, seg in views:
-            p = np.abs(np.fft.rfft(seg)[None])
+        workers = min(_thread_count(None), segments)
+        spaces = [(np.empty(n // 2 + 1, dtype=complex),
+                   np.empty((1, n // 2 + 1))) for _ in range(workers)]
+
+        def periodogram(s, slot):
+            f, p = spaces[slot]
+            _in_place(np.fft.rfft, views[s][1], f)
+            np.abs(f, out=p[0])
             np.square(p, out=p)
             p *= trace.dt / n
-            moments.add(p)
+            return p
+
+        moments = _Moments()
+        _on_threads(periodogram, segments, workers, moments.add)
     return moments
 
 

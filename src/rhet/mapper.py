@@ -15,6 +15,7 @@ only, a couple percent on band-limited spectra.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
@@ -51,22 +52,35 @@ def _map_grid(trace: TimeTrace, segments: int, band):
     return n_seg, freqs[mask], mask
 
 
+@contextmanager
+def _fits(n_theta: int, n_cols: int):
+    """Turn a MemoryError in the block into a ValueError naming the map's
+    size."""
+    try:
+        yield
+    except MemoryError:
+        raise ValueError(f"a map of {n_theta} theta by {n_cols} columns "
+                         "does not fit in memory") from None
+
+
 def theta_map_exact(trace: TimeTrace, epsilon: float, n_theta: int = 800,
                     variant: str = "tbar", segments: int = 1,
                     band=None, phase_correction: Optional[PhaseSeries] = None,
                     workers: Optional[int] = None) -> ThetaMap:
     """Reference map: one rhet_spectrum call per theta row."""
     workers = _thread_count(workers)
-    thetas = _theta_grid(n_theta)
     _, freqs, mask = _map_grid(trace, segments, band)
+    with _fits(n_theta, freqs.size):
+        thetas = _theta_grid(n_theta)
+        rows = np.empty((n_theta, freqs.size))
     FilterSpec(epsilon=epsilon, omega_beat=trace.omega_beat)  # checks epsilon
     if variant == "tbar" or epsilon == 1.0:  # the rows read it from the memo
         _stream_basis(trace, segments, variant, phase_correction, workers)
-    rows = [rhet_spectrum(trace, epsilon, th, variant=variant,
-                          segments=segments,
-                          phase_correction=phase_correction).values[mask]
-            for th in thetas]
-    return ThetaMap(thetas=thetas, freqs=freqs, spectra=np.array(rows),
+    for row, th in zip(rows, thetas):
+        row[:] = rhet_spectrum(trace, epsilon, th, variant=variant,
+                               segments=segments,
+                               phase_correction=phase_correction).values[mask]
+    return ThetaMap(thetas=thetas, freqs=freqs, spectra=rows,
                     meta={"variant": variant, "epsilon": float(epsilon),
                           "segments": segments, "path": "exact"})
 
@@ -80,13 +94,15 @@ def theta_map_fast(trace: TimeTrace, epsilon: float, n_theta: int = 800,
         raise ValueError("variant must be 't0' or 'tbar'")
     FilterSpec(epsilon=epsilon, omega_beat=trace.omega_beat)  # checks epsilon
     workers = _thread_count(workers)
-    thetas = _theta_grid(n_theta)
     n_seg, freqs, mask = _map_grid(trace, segments, band)
+    with _fits(n_theta, freqs.size):
+        thetas = _theta_grid(n_theta)
     basis = _stream_basis(trace, segments, variant, phase_correction, workers)
     # the non-negative bin of each in-band column (the streams are even in w)
     cols = np.abs(np.arange(n_seg) - n_seg // 2)[mask]
-    a, mean = _quadrature_weights(epsilon, thetas), basis.mean[:, cols]
-    rows = np.empty((n_theta, cols.size))
+    with _fits(n_theta, freqs.size):
+        a, mean = _quadrature_weights(epsilon, thetas), basis.mean[:, cols]
+        rows = np.empty((n_theta, cols.size))
     blk = [slice(i, i + 16) for i in range(0, n_theta, 16)]  # theta rows
     _on_threads(lambda b, _: _combine(a[blk[b]], mean, out=rows[blk[b]]),
                 len(blk), workers)

@@ -5,6 +5,8 @@ double-sum oracles: the FFT/rotation algebra must reproduce a brute-force
 evaluation of the defining sums sample by sample, for both variants and
 with a drifting filter phase.
 """
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -595,3 +597,155 @@ def test_rhet_spectrum_rejects_a_non_finite_filter_phase(noise_trace, variant,
     # tbar used to return all NaN and t0 minus the periodogram
     with pytest.raises(ValueError, match="filter phase must be finite"):
         rhet_spectrum(noise_trace, -1.0, theta, variant=variant)
+
+
+# ------------------------------------------------- stream basis: two routes
+
+def _t0_map_oracle(trace, segments, eps, thetas, series):
+    """Mean over segments of c0 P0 + c1 Re[e^{-2i theta} G] per theta, G =
+    dt/N (C(w) + C(-w)), C = conj(FFT x) FFT y, from complex exponentials
+    at absolute times: the t0 basis keeps the square wave's mean and
+    fundamental at the first sample time."""
+    n, dt, om = trace.n // segments, trace.dt, trace.omega_beat
+    d = None if series is None else -2.0 * (series.sample_at(
+        np.arange(trace.n) * dt) - trace.theta_nominal)
+    two_pi = 2.0 * np.arccos(np.longdouble(-1.0))
+    p0, g = 0.0, 0.0
+    for s in range(segments):
+        seg = trace.samples[s * n:(s + 1) * n]
+        # 2 Om t reduced mod 2 pi in extended precision where there is one
+        ramp = np.fmod(2.0 * np.longdouble(om) * (np.arange(
+            s * n, (s + 1) * n, dtype=np.longdouble) * np.longdouble(dt)),
+            two_pi).astype(float)
+        half = 0.0 if d is None else 0.5 * d[s * n:(s + 1) * n]
+        c = np.conj(np.fft.fft(np.exp(1j * (half - ramp)) * seg)) \
+            * np.fft.fft(np.exp(-1j * half) * seg)
+        g = g + (dt / n) * (c + np.roll(c[::-1], 1)) / segments
+        p0 = p0 + (dt / n) * np.abs(np.fft.fft(seg)) ** 2 / segments
+    return np.fft.fftshift([filter_coefficients(eps, 0) * p0
+                            + filter_coefficients(eps, 1)
+                            * np.real(np.exp(-2j * th) * g)
+                            for th in thetas], axes=1)
+
+
+def _tbar_oracle(trace, segments, eps, theta, series):
+    """Values and variance of the mean of per-segment filtered_autocorr
+    spectra."""
+    n, dt = trace.n // segments, trace.dt
+    f = FilterSpec(epsilon=eps, omega_beat=trace.omega_beat,
+                   phase_offset=2.0 * theta, dynamic_offset=None
+                   if series is None else PhaseSeries(
+                       times=series.times,
+                       theta=-2.0 * (series.theta - trace.theta_nominal)))
+    rows = [psd_from_autocorr(filtered_autocorr(
+        TimeTrace(samples=trace.samples[s * n:(s + 1) * n], dt=dt,
+                  omega_beat=trace.omega_beat), f, t_offset=s * n * dt)).values
+        for s in range(segments)]
+    return np.mean(rows, axis=0), np.var(rows, axis=0, ddof=1) / segments
+
+
+# (segment length, ulps added to Omega, route): K = 625 and 500 are
+# integers within _SHIFT_TOL, also one ulp of Omega up; at 312 500 points K
+# = 1250 computes 7.6e-14 bins off and at 142 857 points K = 571.43
+_GEOMETRIES = [(156_250, 0, "shifted"), (156_250, 1, "shifted"),
+               (125_000, 0, "shifted"), (312_500, 0, "transformed"),
+               (142_857, 0, "transformed")]
+
+
+@pytest.mark.parametrize("n_seg, ulps, route", _GEOMETRIES)
+@pytest.mark.parametrize("drift", [False, True])
+def test_stream_basis_matches_the_per_segment_oracles(short_trace, n_seg,
+                                                      ulps, route, drift):
+    # two segments of the 0.25 s record at dt = 0.2 us, within 1e-12 of the
+    # maximum on both routes: the tbar spectrum's values and variance
+    # against filtered_autocorr, the t0 fast map (it has no variance)
+    # against its kernel
+    from rhet.estimator import _bin_shift, _stream_basis
+    om = short_trace.omega_beat
+    for _ in range(ulps):
+        om = np.nextafter(om, np.inf)
+    trace = TimeTrace(samples=short_trace.samples[:2 * n_seg].copy(),
+                      dt=short_trace.dt, omega_beat=om)
+    assert (_bin_shift(n_seg, trace.dt, om) is None) == (route != "shifted")
+    series = _drift_series(trace) if drift else None
+    spec = rhet_spectrum(trace, -0.4, 0.6, segments=2,
+                         phase_correction=series)
+    want = _tbar_oracle(trace, 2, -0.4, 0.6, series)
+    for got, want in zip((spec.values, spec.variance), want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    m = theta_map_fast(trace, -0.4, n_theta=4, variant="t0", segments=2,
+                       phase_correction=series)
+    want = _t0_map_oracle(trace, 2, -0.4, m.thetas, series)
+    assert np.max(np.abs(m.spectra - want)) <= 1e-12 * np.max(np.abs(want))
+    # any thread count adds the segments in order: the same bits (three
+    # segments of the same length, two threads reusing a workspace)
+    longer = TimeTrace(samples=short_trace.samples[:3 * n_seg].copy(),
+                       dt=short_trace.dt, omega_beat=om)
+    for variant in ("tbar", "t0"):
+        one, two = (_stream_basis(_fresh(longer), 3, variant, series,
+                                  workers=w) for w in (1, 2))
+        assert one.mean.tobytes() == two.mean.tobytes()
+        assert one.m2.tobytes() == two.m2.tobytes()
+
+
+@pytest.mark.parametrize("drift", [False, True])
+def test_shifted_route_is_within_1e_12_of_the_transformed(short_trace,
+                                                          monkeypatch, drift):
+    # the whole 0.25 s record at 8 segments of 156 250 points (K = 625):
+    # tbar spectrum, fast maps of both variants and the exact tbar map
+    import rhet.estimator
+    series = _drift_series(short_trace) if drift else None
+
+    def outputs():
+        trace = _fresh(short_trace)
+        spec = rhet_spectrum(trace, -1.0, 0.3, segments=8,
+                             phase_correction=series)
+        return [spec.values, spec.variance] + [
+            fn(trace, eps, n_theta=6, variant=variant, segments=8,
+               phase_correction=series).spectra
+            for fn, eps, variant in ((theta_map_fast, 0.0, "tbar"),
+                                     (theta_map_fast, 0.0, "t0"),
+                                     (theta_map_exact, -1.0, "tbar"))]
+
+    shifted = outputs()
+    monkeypatch.setattr(rhet.estimator, "_bin_shift", lambda *args: None)
+    for got, want in zip(shifted, outputs()):
+        assert got.tobytes() != want.tobytes()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_stream_basis_logs_its_route(short_trace, caplog):
+    # the README session's 156 250-point segments take the shifted route,
+    # 142 857-point ones the transformed route
+    import logging
+    caplog.set_level(logging.DEBUG, logger="rhet.estimator")
+    for n_seg, route, k in ((156_250, "shifted", "K 625,"),
+                            (142_857, "transformed", "K 571.428,")):
+        caplog.clear()
+        trace = TimeTrace(samples=short_trace.samples[:2 * n_seg + 1].copy(),
+                          dt=short_trace.dt, omega_beat=short_trace.omega_beat)
+        rhet_spectrum(trace, -1.0, 0.3, segments=2)
+        rhet_spectrum(trace, 0.5, 0.1, segments=2)  # reads the memo
+        [record] = caplog.records
+        assert record.name == "rhet.estimator"
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage() == (
+            f"stream basis: {route} route, n_seg {n_seg}, {k} 2 segments, "
+            "1 samples dropped")
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_threaded_welch_is_a_serial_welford_pass(short_trace, monkeypatch,
+                                                 cpus):
+    # the fallback's segments run on every usable CPU and add up in order
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    segments, dt = 5, short_trace.dt
+    n = short_trace.n // segments
+    rows = [(dt / n) * np.square(np.abs(np.fft.rfft(
+        short_trace.samples[s * n:(s + 1) * n]))) for s in range(segments)]
+    mean, var = _welford(rows)
+    mirror = np.abs(np.arange(n) - n // 2)
+    spec = standard_psd(_fresh(short_trace), segments=segments)
+    assert spec.values.tobytes() == mean[mirror].tobytes()
+    assert spec.variance.tobytes() == var[mirror].tobytes()

@@ -695,6 +695,20 @@ def test_cli_map_fast_matches_exact(cli_ws, trace42, thermal_cfg):
         1e-10 * np.max(np.abs(me.spectra))
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_cli_map_too_large_to_allocate_exits_2(cli_ws, capsys, exact):
+    # 1e11 theta rows: numpy refuses the 745 GiB theta grid at once
+    out = cli_ws / "huge.csv"
+    rc = main(["map", "--in", str(cli_ws / "trace.rht"), "--out", str(out),
+               "--thetas", "100000000000", "--segments", "8"]
+              + ["--exact"] * exact)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == ("error: a map of 100000000000 theta by 62500 columns "
+                   "does not fit in memory\n")
+    assert not out.exists()
+
+
 def test_cli_map_cannot_normalize_at_eps_minus_one(cli_ws):
     rc = main(["map", "--in", str(cli_ws / "trace.rht"),
                "--out", str(cli_ws / "no.csv"), "--epsilon", "-1",
