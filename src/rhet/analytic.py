@@ -150,6 +150,8 @@ def _values_at(fs: FieldSpectra, nu: np.ndarray):
 
 def homodyne_psd(fs: FieldSpectra, theta: float) -> Spectrum:
     """PSD of the theta quadrature: s_aadag + s_adaga + 2 Re[e^{-2i theta} s_aa]."""
+    if not np.isfinite(theta):
+        raise ValueError("theta must be finite")
     vals = (fs.s_aadag + fs.s_adaga
             + 2.0 * np.real(np.exp(-2j * theta) * fs.s_aa))
     return Spectrum(freqs=fs.freqs, values=vals,

@@ -247,7 +247,7 @@ def _cmd_compare(args) -> int:
     report = compare_spectra(a, b, band=args.band,
                              max_rel_err=args.max_rel_err,
                              min_pearson=args.min_pearson)
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if args.report:
         _atomic_write(args.report, lambda fh: fh.write(text + "\n"),
                       binary=False)

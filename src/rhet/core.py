@@ -259,8 +259,12 @@ def validate_config(cfg: ExperimentConfig, dt: Optional[float] = None) -> list:
         err("error: omega_beat must be positive")
     if not (cfg.shot_floor > 0):
         err("error: shot_floor must be positive")
-    if cfg.backaction_weight < 0:
-        err("error: backaction_weight must be >= 0")
+    # the sign checks read not (0 <= x < inf): NaN and inf fail them too
+    if not (0 <= cfg.backaction_weight < np.inf):
+        err("error: backaction_weight must be finite and >= 0")
+    for name, x in (("theta0", cfg.theta0), ("detuning", cfg.detuning)):
+        if not np.isfinite(x):
+            err(f"error: {name} must be finite")
     if len(cfg.modes) == 0:
         err("error: at least one mechanical mode required")
     if len(cfg.coupling) != len(cfg.modes):
@@ -275,8 +279,8 @@ def validate_config(cfg: ExperimentConfig, dt: Optional[float] = None) -> list:
             err(f"error: {tag}: gamma must be below omega_m (underdamped)")
         if not (mode.mass > 0):
             err(f"error: {tag}: mass must be positive")
-        if mode.nbar < 0:
-            err(f"error: {tag}: nbar must be >= 0")
+        if not (0 <= mode.nbar < np.inf):
+            err(f"error: {tag}: nbar must be finite and >= 0")
         # operating regime of the method: gamma << Omega << omega_m
         if cfg.omega_beat > 0 and mode.gamma > 0 and mode.omega_m > 0:
             if cfg.omega_beat < 5.0 * mode.gamma or cfg.omega_beat > mode.omega_m / 5.0:
@@ -285,11 +289,11 @@ def validate_config(cfg: ExperimentConfig, dt: Optional[float] = None) -> list:
                     f"omega_m operating regime (want 5*gamma <= Omega <= omega_m/5)"
                 )
     for k, g in enumerate(cfg.coupling):
-        if g < 0:
-            err(f"error: coupling {k} must be >= 0")
+        if not (0 <= g < np.inf):
+            err(f"error: coupling {k} must be finite and >= 0")
     d = cfg.drift
-    if d.amplitude < 0:
-        err("error: drift amplitude must be >= 0")
+    if not (0 <= d.amplitude < np.inf):
+        err("error: drift amplitude must be finite and >= 0")
     if d.kind not in ("sine", "walk"):
         err(f"error: unknown drift kind {d.kind!r}")
     if d.amplitude > 0 and d.kind == "sine" and not (d.freq_hz > 0):

@@ -52,6 +52,7 @@ angular-frequency grids, S = dt * Re FFT(A), so sum(S) dw = 2 pi A(0).
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -117,14 +118,14 @@ def eval_filter(f: FilterSpec, t) -> np.ndarray:
     return r.reshape(psi.shape)
 
 
-def _in_place(transform, a, out=None):
-    """transform(a) written into the complex array out (default: over a);
-    NumPy < 2.0 has no out= there, so its result is copied in."""
+def _in_place(transform, a, out=None, axis=-1):
+    """transform(a) along axis, into the complex array out (default: over
+    a); NumPy < 2.0 has no out= there, so its result is copied in."""
     out = a if out is None else out
     try:
-        return transform(a, out=out)
+        return transform(a, axis=axis, out=out)
     except TypeError:
-        out[...] = transform(a)
+        out[...] = transform(a, axis=axis)
         return out
 
 
@@ -324,19 +325,34 @@ def _thread_count(workers) -> int:
     return workers
 
 
-def _on_threads(body, count, workers, consume=lambda out: None):
-    """body(i, slot) for i < count on k = min(workers, count) threads: item
-    i on slot i % k, slot 0 being the calling thread and the others helpers
-    of a pool made for this call. A slot runs one item at a time, so it can
-    reuse buffers; consume(result) runs on the calling thread in order."""
+def _on_threads(body, count, workers, consume=lambda out: None,
+                workspace=lambda: None):
+    """body(i, space) for i < count on k = min(workers, count) threads:
+    item i on the calling thread when i % k == 0, else on a helper of a
+    pool made for this call, which keeps one item queued behind the one it
+    runs. Each item in flight has its own space from workspace(), called on
+    the calling thread (so a helper gets a second only if it has two
+    items), reused once consume(result) has run on the calling thread, in
+    item order."""
     k = min(workers, count)
+    own, free, queued = workspace(), [], {}
+    helper_items = (i for i in range(count) if i % k)
     with ThreadPoolExecutor(max(k - 1, 1)) as pool:
-        pending = {i: pool.submit(body, i, i) for i in range(1, k)}
+        def refill():
+            for i in itertools.islice(helper_items,
+                                      2 * (k - 1) - len(queued)):
+                space = free.pop() if free else workspace()
+                queued[i] = (pool.submit(body, i, space), space)
+
+        refill()
         for i in range(count):
-            slot = i % k
-            consume(pending.pop(i).result() if slot else body(i, 0))
-            if slot and i + k < count:
-                pending[i + k] = pool.submit(body, i + k, slot)
+            if i % k == 0:
+                consume(body(i, own))
+                continue
+            future, space = queued.pop(i)
+            consume(future.result())
+            free.append(space)
+            refill()
 
 
 class _Moments:
@@ -463,12 +479,10 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
     t = np.arange(n) * dt if shift is None or dyn is not None else None
     local = _cis((-2.0 * om) * t) if shift is None else None
     lag_phase = _cis(om * _signed_lags(n, dt)) if variant == "tbar" else None
-    spaces = [(np.empty(n, dtype=complex), np.empty(n, dtype=complex))
-              for _ in range(min(workers, segments))]
 
-    def segment_rows(s, slot):
+    def segment_rows(s, space):
         t_off, seg = views[s]  # x ends as the rows; c as P0 and G
-        x, c = spaces[slot]
+        x, c = space
         t_abs = None if dyn is None else np.add(t, t_off, out=c.real)
         scale = dt / n
         if shift is None:
@@ -504,7 +518,8 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
         return rows
 
     moments = _Moments()
-    _on_threads(segment_rows, segments, workers, moments.add)
+    _on_threads(segment_rows, segments, workers, moments.add,
+                lambda: (np.empty(n, dtype=complex), np.empty(n, dtype=complex)))
     trace._bases[key] = moments
     return moments
 
@@ -512,29 +527,32 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
 def _p0_moments(trace: TimeTrace, segments: int) -> _Moments:
     """Welch's moments of P0 = dt/N |rfft i|^2 over the segments: row 0 of
     a stream basis or t0 entry the trace holds for them (the same bits),
-    else one rfft per segment on every usable CPU (see _on_threads), each
-    slot in a workspace the calling thread allocates (helper threads that
-    allocate their own outputs left the imaging benchmark's peak RSS 14 MB
-    higher in 4 of 10 runs), added up in segment order."""
+    else one rfft per pair of consecutive segments, a (2, n) view of the
+    samples, on every usable CPU (see _on_threads), each in a workspace the
+    calling thread allocates (helper threads that allocate their own
+    outputs left the imaging benchmark's peak RSS 14 MB higher in 4 of 10
+    runs), their rows added up in segment order."""
     held = (m for key, m in trace._bases.items()
             if key[0] in ("basis", "t0") and key[1] == segments)
     moments = next(held, None)
     if moments is None:
-        n, views = _segments(trace, segments)
-        workers = min(_thread_count(None), segments)
-        spaces = [(np.empty(n // 2 + 1, dtype=complex),
-                   np.empty((1, n // 2 + 1))) for _ in range(workers)]
+        n, _ = _segments(trace, segments)
+        h = n // 2 + 1
 
-        def periodogram(s, slot):
-            f, p = spaces[slot]
-            _in_place(np.fft.rfft, views[s][1], f)
-            np.abs(f, out=p[0])
+        def periodograms(b, space):
+            pair = trace.samples[2 * b * n:min(2 * b + 2, segments) * n]
+            f, p = (a[:pair.size // n] for a in space)
+            _in_place(np.fft.rfft, pair.reshape(-1, n), f)
+            np.abs(f, out=p[:, 0])
             np.square(p, out=p)
             p *= trace.dt / n
             return p
 
         moments = _Moments()
-        _on_threads(periodogram, segments, workers, moments.add)
+        _on_threads(periodograms, (segments + 1) // 2, _thread_count(None),
+                    lambda p: [moments.add(rows) for rows in p],
+                    lambda: (np.empty((2, h), dtype=complex),
+                             np.empty((2, 1, h))))
     return moments
 
 

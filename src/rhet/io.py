@@ -315,13 +315,30 @@ def read_spectrum(path) -> Spectrum:
 
 # ------------------------------------------------------------------ maps
 
+def _write_npy(fh, a) -> None:
+    """np.lib.format.write_array's bytes for a, written from slices of
+    about 1 MiB of its memory: np.savez would copy a whole table."""
+    a = np.asanyarray(a)
+    header = np.lib.format.header_data_from_array_1_0(a)
+    np.lib.format.write_array_header_1_0(fh, header)
+    raw = np.ascontiguousarray(a.T if header["fortran_order"] else a)
+    raw = raw.reshape(-1).view(np.uint8)
+    for i in range(0, raw.size, 1 << 20):
+        fh.write(raw[i:i + (1 << 20)])
+
+
 def write_map(path, m: ThetaMap, fmt: str = "csv") -> None:
     if fmt == "npz":
-        def _write(fh):
-            np.savez(fh, thetas=m.thetas, freqs_hz=m.freqs / TWO_PI,
-                     spectra=m.spectra,
-                     normalization=np.float64(m.normalization),
-                     meta=json.dumps(m.meta, sort_keys=True))
+        entries = dict(thetas=m.thetas, freqs_hz=m.freqs / TWO_PI,
+                       spectra=m.spectra,
+                       normalization=np.float64(m.normalization),
+                       meta=json.dumps(m.meta, sort_keys=True))
+
+        def _write(fh):  # np.savez's container: stored, zip64, 1980 dates
+            with zipfile.ZipFile(fh, "w", allowZip64=True) as z:
+                for name, a in entries.items():
+                    with z.open(name + ".npy", "w", force_zip64=True) as f:
+                        _write_npy(f, a)
         _atomic_write(path, _write)
         return
     if fmt != "csv":
@@ -393,8 +410,11 @@ def compare_spectra(a: Spectrum, b: Spectrum, band=None,
     b is resampled onto a's grid by linear interpolation over the overlap;
     disjoint grids raise GridError. Peak amplitudes and locations come from
     a quadratic fit around the largest-magnitude bin in the band (raw bin
-    when degenerate). The report is JSON-ready.
+    when degenerate). The report is strict JSON: a non-finite reading (a
+    spectrum holding NaN) is None. Thresholds must be finite.
     """
+    if not (np.isfinite(max_rel_err) and np.isfinite(min_pearson)):
+        raise ValueError("max_rel_err and min_pearson must be finite")
     lo = max(a.freqs[0], b.freqs[0])
     hi = min(a.freqs[-1], b.freqs[-1])
     if band is not None:
@@ -429,4 +449,5 @@ def compare_spectra(a: Spectrum, b: Spectrum, band=None,
         "thresholds": {"max_rel_err": max_rel_err, "min_pearson": min_pearson},
     }
     report["pass"] = bool(rel_err <= max_rel_err and pearson >= min_pearson)
-    return report
+    return {k: None if isinstance(v, float) and not np.isfinite(v) else v
+            for k, v in report.items()}

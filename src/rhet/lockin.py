@@ -3,19 +3,23 @@ recovered phase back into the filtered estimator.
 
 demodulate() shifts the beat note to baseband, low-passes it, decimates,
 and unwraps the angle from the few DFT bins round the beat and a control
-band, making no array the length of the trace. It needs a visible beat-note
+band, making no array the length of the trace. Those bins come from the
+record's (q, P) polyphase view, q = N/P <= 2^16 points per column: its
+columns are transformed two at a time along axis 0 into one workspace of
+about 2 MB, and summed with exact twiddles. It needs a visible beat-note
 line (a coherent pilot or a strong carrier leak); with shot noise alone
 there is nothing to lock to and it raises.
 """
 from __future__ import annotations
 
 import logging
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .core import TWO_PI, PhaseSeries, Spectrum, TimeTrace
-from .estimator import rhet_spectrum
+from .estimator import _in_place, rhet_spectrum
 
 # envelope at the beat must beat the control band by this factor
 _DETECT_RATIO = 10.0
@@ -24,23 +28,34 @@ _log = logging.getLogger(__name__)
 
 
 def _stride(n: int) -> int:
-    """Least divisor P of n with n/P <= 2^18, else the largest P <= 4096."""
+    """Least divisor P of n with n/P <= 2^16, else the largest P <= 4096."""
     divs = [p for p in range(1, min(n, 4096) + 1) if n % p == 0]
-    return next((p for p in divs if n // p <= 1 << 18), divs[-1])
+    return next((p for p in divs if n // p <= 1 << 16), divs[-1])
 
 
 def _dft_bins(x, n, p, k):
-    """Bins k (mod n) of the n-point DFT of x, from the rffts Y_a of x[a::p],
-    q = n/p points each: X[k] = sum_a e^{-2 pi i k a/n} Y_a[k mod q]."""
+    """Bins k (mod n) of the n-point DFT of x, zero-padded to n, from the
+    rffts Y_a of the columns x[a::p] of its (q, p) polyphase view, q = n/p:
+    X[k] = sum_a e^{-2 pi i k a/n} Y_a[k mod q], summed in order of a. Two
+    columns go through one rfft along axis 0 into one workspace; a padded
+    record's ragged last row adds its term to the bins read."""
     q = n // p
     neg = k % q > q // 2
     r = np.where(neg, -k % q, k % q)
+    rows, ragged = divmod(x.size, p)
+    view = x[:rows * p].reshape(rows, p)
+    last = np.exp(-1j * TWO_PI / q * (r * rows % q)) if ragged else None
+    rfft = partial(np.fft.rfft, n=q)
+    space = np.empty((2, q // 2 + 1), complex)
     out = np.zeros(k.shape, complex)
-    for a in range(p):
-        y = np.fft.rfft(x[a::p], q)[r]
-        np.conjugate(y, out=y, where=neg)
-        # k a reduced in integers keeps the twiddle exact at any n
-        out += y * np.exp(-1j * TWO_PI / n * (k * a % n))
+    for b in range(0, p, 2):
+        _in_place(rfft, view[:, b:b + 2], space[:p - b].T, axis=0)
+        for a, y in enumerate(space[:p - b][:, r], start=b):
+            if a < ragged:
+                y += x[rows * p + a] * last
+            np.conjugate(y, out=y, where=neg)
+            # k a reduced in integers keeps the twiddle exact at any n
+            out += y * np.exp(-1j * TWO_PI / n * (k * a % n))
     return out
 
 
@@ -80,8 +95,9 @@ def demodulate(trace: TimeTrace, bandwidth_hz: float = 200.0) -> PhaseSeries:
     on the N-point DFT bins of the trace, zero-padded to the next
     2^a 3^b 5^c length N where the pad fits in the edge trim below, so the
     record is treated as periodic and nothing runs at the full sample rate.
-    Those bins alone are computed, from rffts of the stride-P subsequences
-    of the trace; the "rhet.lockin" logger gives SNR, N, P, step and trim.
+    Those bins alone are computed, from rffts of the P columns of the
+    trace's polyphase view; the "rhet.lockin" logger gives SNR, N, P, step
+    and trim.
     Of round(N/step) points spread evenly over the padded record, those on
     the record are output, step being roughly 8 samples per filter time
     constant; when step divides n = N this is the times()[::step] grid.

@@ -738,14 +738,58 @@ def test_stream_basis_logs_its_route(short_trace, caplog):
 def test_threaded_welch_is_a_serial_welford_pass(short_trace, monkeypatch,
                                                  cpus):
     # the fallback's segments run on every usable CPU and add up in order
+    # as one rfft per pair of segments: even and odd counts, the last pair
+    # of an odd count holding one segment
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
-    segments, dt = 5, short_trace.dt
-    n = short_trace.n // segments
-    rows = [(dt / n) * np.square(np.abs(np.fft.rfft(
-        short_trace.samples[s * n:(s + 1) * n]))) for s in range(segments)]
-    mean, var = _welford(rows)
-    mirror = np.abs(np.arange(n) - n // 2)
-    spec = standard_psd(_fresh(short_trace), segments=segments)
-    assert spec.values.tobytes() == mean[mirror].tobytes()
-    assert spec.variance.tobytes() == var[mirror].tobytes()
+    dt = short_trace.dt
+    for segments in (2, 5, 6):
+        n = short_trace.n // segments
+        rows = [(dt / n) * np.square(np.abs(np.fft.rfft(
+            short_trace.samples[s * n:(s + 1) * n])))
+            for s in range(segments)]
+        mean, var = _welford(rows)
+        mirror = np.abs(np.arange(n) - n // 2)
+        spec = standard_psd(_fresh(short_trace), segments=segments)
+        assert spec.values.tobytes() == mean[mirror].tobytes()
+        assert spec.variance.tobytes() == var[mirror].tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_on_threads_gives_each_item_in_flight_its_own_space(workers):
+    # helpers keep one item queued behind the one they run, each in a space
+    # of its own that returns only once its result is consumed, in order
+    import random
+    import threading
+    import time
+    from rhet.estimator import _on_threads
+    rng = random.Random(workers)
+    for count in range(1, 10):
+        spaces, held, consumed, lock = [], {}, [], threading.Lock()
+        caller = threading.get_ident()
+
+        def workspace():
+            assert threading.get_ident() == caller
+            spaces.append([])
+            return spaces[-1]
+
+        def body(i, space):
+            with lock:
+                assert id(space) not in held
+                held[id(space)] = i
+            time.sleep(rng.random() * 2e-3)
+            return i, space
+
+        def consume(out):
+            i, space = out
+            assert held.pop(id(space)) == i
+            consumed.append(i)
+
+        _on_threads(body, count, workers, consume, workspace)
+        assert consumed == list(range(count)) and not held
+        # one space for the calling thread, one per helper item up to two
+        # per helper: a second only for a helper with two items
+        k = min(workers, count)
+        helper_items = [i for i in range(count) if i % k]
+        assert len(spaces) == 1 + sum(
+            min(2, sum(i % k == h for i in helper_items)) for h in range(1, k))

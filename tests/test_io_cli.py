@@ -318,6 +318,35 @@ def test_map_reader_rejects_foreign_files(tmp_path):
     assert np.array_equal(m.spectra, [[1.0, np.nan]], equal_nan=True)
 
 
+def test_npz_map_has_np_savez_bytes_without_copying_the_table(tmp_path):
+    # C-, Fortran- and non-contiguous tables; the writer streams each entry
+    # from the array's memory, so a 10.8 MB table allocates next to nothing
+    import tracemalloc
+    rng = np.random.default_rng(5)
+    for spectra in (rng.standard_normal((800, 1690)),
+                    np.asfortranarray(rng.standard_normal((4, 7))),
+                    rng.standard_normal((4, 8))[:, 1:]):
+        m = ThetaMap(thetas=np.linspace(0.0, np.pi, spectra.shape[0]),
+                     freqs=TWO_PI * np.linspace(-1e3, 1e3, spectra.shape[1]),
+                     spectra=spectra, normalization=2.5,
+                     meta={"path": "fast", "label": "\u03b8 map", "x": None})
+        tracemalloc.start()
+        try:
+            write_map(tmp_path / "m.npz", m, fmt="npz")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with open(tmp_path / "s.npz", "wb") as fh:
+            np.savez(fh, thetas=m.thetas, freqs_hz=m.freqs / TWO_PI,
+                     spectra=m.spectra,
+                     normalization=np.float64(m.normalization),
+                     meta=json.dumps(m.meta, sort_keys=True))
+        assert (tmp_path / "m.npz").read_bytes() == \
+            (tmp_path / "s.npz").read_bytes()
+        if spectra.size > 1000:
+            assert peak < 0.05 * spectra.nbytes
+
+
 def test_map_writer_rejects_unknown_format(tmp_path):
     m = ThetaMap(thetas=np.arange(2.0), freqs=np.arange(3.0),
                  spectra=np.zeros((2, 3)))
@@ -776,6 +805,71 @@ def test_cli_compare_pass_fail_and_disjoint(cli_ws, tmp_path):
     # a file that is no spectrum is an I/O error
     assert main(["compare", "--a", str(cli_ws / "trace.rht"),
                  "--b", str(het)]) == 3
+
+
+def test_cli_compare_report_holds_no_nan(cli_ws, tmp_path, capsys):
+    # a spectrum holding NaN fails the comparison with null readings, which
+    # a strict parser accepts; a threshold that is not finite exits 2
+    het = tmp_path / "a.csv"
+    assert main(["analytic", "--config", str(cli_ws / "config.json"),
+                 "--out", str(het), "--kind", "heterodyne",
+                 "--bins-per-gamma", "5"]) == 0
+    sh = read_spectrum(het)
+    for bad in ([np.nan], np.full(sh.values.size, np.nan)):
+        values = sh.values.copy()
+        values[:len(bad)] = bad
+        nan = tmp_path / "nan.csv"
+        write_spectrum(nan, Spectrum(freqs=sh.freqs, values=values))
+        report = tmp_path / "rep.json"
+        assert main(["compare", "--a", str(het), "--b", str(nan),
+                     "--report", str(report)]) == 1
+        rep = json.loads(report.read_text(), parse_constant=pytest.fail)
+        assert rep["pass"] is False and rep["pearson"] is None
+    for flag in ("--max-rel-err", "--min-pearson"):
+        for value in ("nan", "inf", "-inf"):
+            capsys.readouterr()
+            assert main(["compare", "--a", str(het), "--b", str(het),
+                         f"{flag}={value}"]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: max_rel_err and min_pearson must be finite\n"
+
+
+@pytest.mark.parametrize("field, path", [
+    ("nbar", ("modes", 0, "nbar")),
+    ("coupling 0", ("modes", 0, "coupling_hz")),
+    ("backaction_weight", ("backaction_weight",)),
+    ("drift amplitude", ("drift", "amplitude_rad")),
+    ("theta0", ("theta0_rad",)), ("detuning", ("detuning_hz",))])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_cli_non_finite_config_field_exits_2(cli_ws, tmp_path, capsys, field,
+                                             path, value):
+    # Python's json writes and reads NaN and Infinity; neither may reach a
+    # spectrum or a trace as a silent NaN
+    doc = json.loads((cli_ws / "config.json").read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["analytic"], ["synth", "--seed", "1", "--duration", "0.01"]):
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{field} must be" in err
+        assert not out.exists()
+
+
+def test_cli_analytic_homodyne_rejects_a_non_finite_theta(cli_ws, tmp_path,
+                                                          capsys):
+    for value in ("nan", "inf", "-inf"):
+        out = tmp_path / "h.csv"
+        assert main(["analytic", "--config", str(cli_ws / "config.json"),
+                     "--out", str(out), "--kind", "homodyne",
+                     f"--theta={value}"]) == 2
+        assert capsys.readouterr().err == "error: theta must be finite\n"
+        assert not out.exists()
 
 
 def test_cli_compare_report_is_stdout_written_atomically(cli_ws, tmp_path,

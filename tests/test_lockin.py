@@ -98,12 +98,12 @@ def test_smooth_size_is_the_next_2_3_5_smooth_length():
     assert _smooth_size(39_062) == 39_366
 
 
-def test_stride_is_the_smallest_divisor_that_fits_2_18_points():
-    # 2^18 = 262 144; with no fitting divisor under the cap, the largest one
+def test_stride_is_the_smallest_divisor_that_fits_2_16_points():
+    # 2^16 = 65 536; with no fitting divisor under the cap, the largest one
     # under it: 1 for a prime, which is a single rfft of the whole record
-    assert _stride(2_500_000) == 10
-    assert _stride(10_000_000) == 40
-    assert _stride(2_519_424) == 12
+    assert _stride(2_500_000) == 40
+    assert _stride(10_000_000) == 160
+    assert _stride(2_519_424) == 48
     assert _stride(2_499_999) == 191  # 3 x 191 x 4363
     assert _stride(2 * 1_000_003) == 2
     assert _stride(1_000_003) == 1
@@ -119,8 +119,8 @@ def _mirror_bins(q, n):
 
 
 @pytest.mark.parametrize("n, size, p", [
-    (2_500_000, 2_500_000, None),   # 2^4 5^7: P = 10
-    (2_519_424, 2_500_001, None),   # zero-padded, 2^7 3^9: P = 12
+    (2_500_000, 2_500_000, None),   # 2^4 5^7: P = 40
+    (2_519_424, 2_500_001, None),   # zero-padded, 2^7 3^9: P = 48
     (1_000_003, 1_000_003, None),   # prime: P = 1
     (720, 720, 8), (720, 720, 45), (720, 700, 16), (721, 721, 7),
 ])
@@ -135,6 +135,54 @@ def test_dft_bins_match_the_full_rfft(n, size, p):
     # bins past n/2, or negative, are the conjugate mirror
     assert np.allclose(_dft_bins(x, n, p, -k), np.conj(full[k]),
                        rtol=0, atol=1e-13 * np.max(np.abs(full)))
+
+
+def _per_subsequence_bins(x, n, p, k):
+    """One rfft per strided copy x[a::p], zero-padded to q = n/p points."""
+    q = n // p
+    neg = k % q > q // 2
+    r = np.where(neg, -k % q, k % q)
+    out = np.zeros(k.shape, complex)
+    for a in range(p):
+        y = np.fft.rfft(x[a::p], q)[r]
+        np.conjugate(y, out=y, where=neg)
+        out += y * np.exp(-1j * TWO_PI / n * (k * a % n))
+    return out
+
+
+@pytest.mark.parametrize("n, size, p", [
+    (2_500_000, 2_500_000, 40),     # 20 blocks of two columns
+    (2_519_424, 2_500_001, 48),     # ragged last row of 17 samples
+    (720, 700, 16), (720, 700, 45),  # ragged, and an odd column left over
+    (720, 720, 45), (721, 721, 7), (1_000_003, 1_000_003, 1),
+])
+def test_dft_bins_match_the_per_subsequence_loop(n, size, p):
+    # the (q, p) view's column blocks against one rfft per strided copy
+    x = np.random.default_rng(size).standard_normal(size) + 3.0
+    k = np.concatenate([_mirror_bins(n // p, n),
+                        np.linspace(-n, n, 301).astype(int)])
+    want = _per_subsequence_bins(x, n, p, k)
+    got = _dft_bins(x, n, p, k)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    if size == n:  # no ragged row: the same transforms, the same bits
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2_500_000, 2_500_001])
+def test_demodulate_is_within_1e_15_rad_of_the_2_18_stride(monkeypatch, n):
+    # against one rfft per strided copy at the stride the 2^18 rule gave
+    # (10 and 12): the same times, theta within 1e-15 rad
+    tr = _pilot_trace(n, 10_000.0, lambda t: phase_drift(t, 0.7, np.pi / 4,
+                                                         25.0))
+    tr = dataclasses.replace(
+        tr, samples=tr.samples + np.random.default_rng(3).normal(0, 30, n))
+    ps = demodulate(tr)
+    monkeypatch.setattr(lockin, "_dft_bins", _per_subsequence_bins)
+    monkeypatch.setattr(lockin, "_stride", lambda n: {2_500_000: 10,
+                                                       2_519_424: 12}[n])
+    ref = demodulate(tr)
+    assert ps.times.tobytes() == ref.times.tobytes()
+    assert np.max(np.abs(ps.theta - ref.theta)) <= 1e-15
 
 
 def _full_rfft_bins(x, n, p, k):
@@ -163,16 +211,18 @@ def test_demodulate_matches_a_full_rfft_reference(monkeypatch, n, beat_hz,
 
 
 def test_demodulate_holds_no_record_length_array():
-    # the full rfft alone was 8 bytes per sample, 100 % of the trace's bytes
-    tr = _pilot_trace(2_500_000, 10_000.0, lambda t: np.full_like(t, 0.3))
-    demodulate(tr)
-    tracemalloc.start()
-    try:
+    # the full rfft alone was 8 bytes per sample, 100 % of the trace's bytes;
+    # 2 500 001 samples are zero-padded to 2 519 424
+    for n in (2_500_000, 2_500_001):
+        tr = _pilot_trace(n, 10_000.0, lambda t: np.full_like(t, 0.3))
         demodulate(tr)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.25 * tr.samples.nbytes
+        tracemalloc.start()
+        try:
+            demodulate(tr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * tr.samples.nbytes
 
 
 def test_demodulate_logs_its_decisions(caplog):
@@ -183,7 +233,7 @@ def test_demodulate_logs_its_decisions(caplog):
     assert rec.getMessage().startswith("lock-in: snr ")
     # ceil(15 ms / 625 us) rounds 24 + 1 ulp up to 25
     assert rec.getMessage().endswith(
-        "n_fft 500000, P 2, step 3125, m 160, trim 25")
+        "n_fft 500000, P 8, step 3125, m 160, trim 25")
     caplog.clear()
     # 32 points of 625 us cannot lose 25 at each end
     ps = demodulate(_pilot_trace(100_000, 10_000.0,
