@@ -25,7 +25,7 @@ Y = 2 Im a, giving S_het(w) = s_aadag(w + Om) + s_adaga(w - Om).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -98,7 +98,6 @@ class FieldSpectra:
     s_adaga: np.ndarray
     s_aa: np.ndarray
     config: Optional[ExperimentConfig] = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.freqs = np.asarray(self.freqs, dtype=np.float64)

@@ -18,13 +18,13 @@ import numpy as np
 from . import __version__
 from .analytic import (field_spectra, filter_coefficients, heterodyne_psd,
                        homodyne_psd, rhet_prediction)
-from .core import TWO_PI, ConfigError, PhaseDriftSpec, validate_config
+from .core import TWO_PI, ConfigError, check_config
 from .estimator import complex_corr_spectrum, rhet_spectrum, standard_psd
 from .io import (CONFIG_SCHEMA_VERSION, TRACE_VERSION, _atomic_write,
                  compare_spectra, read_config, read_spectrum, read_trace,
                  write_map, write_spectrum, write_trace)
 from .lockin import demodulate
-from .mapper import theta_map_exact, theta_map_fast, normalize_map
+from .mapper import _fits, theta_map_exact, theta_map_fast, normalize_map
 from .synth import synth_gaussian_trace
 
 
@@ -152,13 +152,9 @@ def _mode_flags(args) -> None:
 
 def _cmd_synth(args) -> int:
     cfg = read_config(args.config)
-    if args.drift_amp is not None or args.drift_freq is not None:
-        d = cfg.drift
-        d = PhaseDriftSpec(
-            amplitude=d.amplitude if args.drift_amp is None else args.drift_amp,
-            freq_hz=d.freq_hz if args.drift_freq is None else args.drift_freq,
-            kind=d.kind)
-        cfg = dataclasses.replace(cfg, drift=d)
+    given = dict(amplitude=args.drift_amp, freq_hz=args.drift_freq)
+    cfg = dataclasses.replace(cfg, drift=dataclasses.replace(
+        cfg.drift, **{k: v for k, v in given.items() if v is not None}))
     trace = synth_gaussian_trace(cfg, args.duration, args.dt, args.seed,
                                  pilot_amplitude=args.pilot)
     write_trace(args.out, trace)
@@ -217,24 +213,21 @@ def _cmd_analytic(args) -> int:
         if value is not None and not 0 < value < np.inf:
             raise ConfigError(f"{flag} must be positive and finite")
     cfg = read_config(args.config)
-    errors = [x for x in validate_config(cfg) if x.startswith("error")]
-    if errors:
-        raise ConfigError("; ".join(errors))
+    check_config(cfg)
     top = max(m.omega_m for m in cfg.modes) + cfg.omega_beat
     fmax = 1.5 * top / TWO_PI if args.fmax is None else args.fmax
-    gmin = min(m.gamma for m in cfg.modes)
-    df = gmin / TWO_PI / args.bins_per_gamma
-    n = int(np.ceil(fmax / df))
-    freqs = TWO_PI * df * np.arange(-n, n + 1)
-    fs = field_spectra(cfg, freqs)
-    if args.kind == "homodyne":
-        spec = homodyne_psd(fs, args.theta)
-    elif args.kind == "heterodyne":
-        spec = heterodyne_psd(fs, cfg.omega_beat)
-    else:
-        theta = args.theta + cfg.theta0
-        spec = rhet_prediction(fs, cfg.omega_beat, theta, args.epsilon,
-                               variant=args.variant)
+    df = min(m.gamma for m in cfg.modes) / TWO_PI / args.bins_per_gamma
+    n = np.ceil(fmax / df)
+    with _fits(f"an analytic grid of {2 * n + 1:.0f} bins"):
+        freqs = TWO_PI * df * np.arange(-int(n), int(n) + 1)
+        fs = field_spectra(cfg, freqs)
+        if args.kind == "homodyne":
+            spec = homodyne_psd(fs, args.theta)
+        elif args.kind == "heterodyne":
+            spec = heterodyne_psd(fs, cfg.omega_beat)
+        else:
+            spec = rhet_prediction(fs, cfg.omega_beat, args.theta + cfg.theta0,
+                                   args.epsilon, variant=args.variant)
     write_spectrum(args.out, spec)
     print(f"wrote {args.out}: {args.kind}, {freqs.size} bins, "
           f"df={df:g} Hz")

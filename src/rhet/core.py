@@ -245,6 +245,21 @@ class ThetaMap:
             raise ValueError("normalization must be positive")
 
 
+# The bound of each number in a config, by the object that holds it. Every
+# bound asks for a finite number; _LOWEST holds its smallest legal value.
+_NON_NEGATIVE, _POSITIVE = "finite and >= 0", "finite and positive"
+_BOUNDS = {
+    "config": dict(kappa=_POSITIVE, detuning="finite", omega_beat=_POSITIVE,
+                   theta0="finite", shot_floor=_POSITIVE,
+                   backaction_weight=_NON_NEGATIVE),
+    "mode": dict(omega_m=_POSITIVE, gamma=_POSITIVE, mass=_POSITIVE,
+                 nbar=_NON_NEGATIVE),
+    "drift": dict(amplitude=_NON_NEGATIVE, freq_hz="finite"),
+}
+_LOWEST = {"finite": -np.finfo(float).max, _NON_NEGATIVE: 0.0,
+           _POSITIVE: 5e-324}  # the smallest positive double
+
+
 def validate_config(cfg: ExperimentConfig, dt: Optional[float] = None) -> list:
     """Return a list of 'error: ...' / 'warning: ...' strings; empty means
     the config satisfies every hard invariant and sits inside the method's
@@ -253,47 +268,28 @@ def validate_config(cfg: ExperimentConfig, dt: Optional[float] = None) -> list:
     """
     out = []
     err = out.append
-    if not (cfg.kappa > 0):
-        err("error: kappa must be positive")
-    if not (cfg.omega_beat > 0):
-        err("error: omega_beat must be positive")
-    if not (cfg.shot_floor > 0):
-        err("error: shot_floor must be positive")
-    # the sign checks read not (0 <= x < inf): NaN and inf fail them too
-    if not (0 <= cfg.backaction_weight < np.inf):
-        err("error: backaction_weight must be finite and >= 0")
-    for name, x in (("theta0", cfg.theta0), ("detuning", cfg.detuning)):
-        if not np.isfinite(x):
-            err(f"error: {name} must be finite")
+    held = [("", cfg, "config"), ("drift ", cfg.drift, "drift")]
+    held += [(f"mode {k}: ", m, "mode") for k, m in enumerate(cfg.modes)]
+    numbers = [(tag + name, getattr(obj, name), bound) for tag, obj, kind
+               in held for name, bound in _BOUNDS[kind].items()]
+    numbers += [(f"coupling {k}", g, _NON_NEGATIVE)
+                for k, g in enumerate(cfg.coupling)]
+    for name, x, bound in numbers:  # NaN fails every comparison
+        if not _LOWEST[bound] <= x < np.inf:
+            err(f"error: {name} must be {bound}")
     if len(cfg.modes) == 0:
         err("error: at least one mechanical mode required")
     if len(cfg.coupling) != len(cfg.modes):
         err("error: coupling must have one entry per mode")
     for k, mode in enumerate(cfg.modes):
-        tag = f"mode {k}"
-        if not (mode.omega_m > 0):
-            err(f"error: {tag}: omega_m must be positive")
-        if not (mode.gamma > 0):
-            err(f"error: {tag}: gamma must be positive")
-        elif mode.omega_m > 0 and mode.gamma >= mode.omega_m:
-            err(f"error: {tag}: gamma must be below omega_m (underdamped)")
-        if not (mode.mass > 0):
-            err(f"error: {tag}: mass must be positive")
-        if not (0 <= mode.nbar < np.inf):
-            err(f"error: {tag}: nbar must be finite and >= 0")
+        if 0 < mode.omega_m <= mode.gamma:
+            err(f"error: mode {k}: gamma must be below omega_m (underdamped)")
         # operating regime of the method: gamma << Omega << omega_m
-        if cfg.omega_beat > 0 and mode.gamma > 0 and mode.omega_m > 0:
-            if cfg.omega_beat < 5.0 * mode.gamma or cfg.omega_beat > mode.omega_m / 5.0:
-                err(
-                    f"warning: {tag}: omega_beat outside the gamma << Omega << "
-                    f"omega_m operating regime (want 5*gamma <= Omega <= omega_m/5)"
-                )
-    for k, g in enumerate(cfg.coupling):
-        if not (0 <= g < np.inf):
-            err(f"error: coupling {k} must be finite and >= 0")
+        if (cfg.omega_beat > 0 and mode.gamma > 0 and mode.omega_m > 0 and not
+                5.0 * mode.gamma <= cfg.omega_beat <= mode.omega_m / 5.0):
+            err(f"warning: mode {k}: omega_beat outside the gamma << Omega << "
+                f"omega_m operating regime (want 5*gamma <= Omega <= omega_m/5)")
     d = cfg.drift
-    if not (0 <= d.amplitude < np.inf):
-        err("error: drift amplitude must be finite and >= 0")
     if d.kind not in ("sine", "walk"):
         err(f"error: unknown drift kind {d.kind!r}")
     if d.amplitude > 0 and d.kind == "sine" and not (d.freq_hz > 0):
@@ -301,13 +297,24 @@ def validate_config(cfg: ExperimentConfig, dt: Optional[float] = None) -> list:
     if dt is not None and not 0 < dt < np.inf:
         err("error: dt must be positive and finite")
     elif dt is not None and len(cfg.modes) and cfg.omega_beat > 0:
-        top = max(m.omega_m for m in cfg.modes if m.omega_m > 0) + cfg.omega_beat
+        top = max((m.omega_m for m in cfg.modes if m.omega_m > 0),
+                  default=0.0) + cfg.omega_beat
         nyq = np.pi / dt
         if nyq <= top:
             err("error: sampling too slow, Nyquist below the upper sideband")
         elif nyq < 2.0 * top:
             err("warning: Nyquist under 2x the upper sideband; tails will fold")
     return out
+
+
+def check_config(cfg: ExperimentConfig, dt: Optional[float] = None) -> list:
+    """Raise one ConfigError holding every error validate_config finds,
+    without their 'error: ' prefix; return its warnings."""
+    problems = validate_config(cfg, dt=dt)
+    errors = [p[len("error: "):] for p in problems if p.startswith("error")]
+    if errors:
+        raise ConfigError("; ".join(errors))
+    return [p for p in problems if p.startswith("warning")]
 
 
 def default_thermal_config(detuning: float = -TWO_PI * 1.0e5) -> ExperimentConfig:

@@ -6,9 +6,10 @@ Header layout '<4sIdddQ32x': magic "RHTR", format version, dt, omega_beat
 because traces are large (80 MB for 2 s at 5 MS/s) and bit-exactness
 matters; everything else is text.
 
-Config: JSON, schema-versioned, unknown keys rejected (a typo in a physics
-parameter must fail loudly, not silently default). Frequencies in Hz,
-masses in ng in the file; converted to rad/s and kg in memory.
+Config: JSON, schema-versioned, one field table per object. An unknown or
+missing key, and a number that is a bool or that float() refuses, raise a
+ConfigError naming the key: a typo must fail loudly, not silently default.
+Frequencies in Hz, masses in ng in the file; rad/s and kg in memory.
 
 Spectra and maps: CSV with '#' metadata comments, numbers at %.17g so
 every written double parses back to the same double. The frequency column
@@ -100,94 +101,84 @@ def read_trace(path) -> TimeTrace:
 
 # ---------------------------------------------------------------- config
 
-_TOP_KEYS = {"schema_version", "kappa_hz", "detuning_hz", "omega_beat_hz",
-             "theta0_rad", "shot_floor", "backaction_weight", "drift",
-             "modes"}
-_MODE_KEYS = {"omega_m_hz", "gamma_hz", "mass_ng", "nbar", "coupling_hz"}
-_DRIFT_KEYS = {"amplitude_rad", "freq_hz", "kind"}
+_REQUIRED = object()
+# One table per JSON object of a config file, one row per field: (key,
+# attribute, unit, default or _REQUIRED). A number reads as unit * value and
+# writes as value / unit; a unit of None leaves the value to the caller.
+_TOP = (("schema_version", "schema_version", None, _REQUIRED),
+        ("kappa_hz", "kappa", TWO_PI, _REQUIRED),
+        ("detuning_hz", "detuning", TWO_PI, 0.0),
+        ("omega_beat_hz", "omega_beat", TWO_PI, _REQUIRED),
+        ("theta0_rad", "theta0", 1.0, 0.0),
+        ("shot_floor", "shot_floor", 1.0, 1.0),
+        ("backaction_weight", "backaction_weight", 1.0, 0.0),
+        ("drift", "drift", None, {}),
+        ("modes", "modes", None, _REQUIRED))
+_MODE = (("omega_m_hz", "omega_m", TWO_PI, _REQUIRED),
+         ("gamma_hz", "gamma", TWO_PI, _REQUIRED),
+         ("mass_ng", "mass", 1e-12, _REQUIRED),
+         ("nbar", "nbar", 1.0, _REQUIRED),
+         ("coupling_hz", "coupling", TWO_PI, _REQUIRED))
+_DRIFT = (("amplitude_rad", "amplitude", 1.0, 0.0),
+          ("freq_hz", "freq_hz", 1.0, 25.0),
+          ("kind", "kind", None, "sine"))
 
 
-def _reject_unknown(d, allowed, where):
-    unknown = sorted(set(d) - allowed)
+def _fields(doc, table, where) -> dict:
+    """{attribute: value} of the JSON object doc, read through table."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(doc) - {row[0] for row in table})
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    out = {}
+    for key, attr, unit, default in table:
+        if default is _REQUIRED and key not in doc:
+            raise ConfigError(f"missing key {key!r} in {where}")
+        out[attr] = value = doc.get(key, default)
+        if unit is None:
+            continue
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            if not isinstance(value, bool):  # float(True) is 1.0
+                out[attr] = unit * float(value)
+                continue
+        raise ConfigError(f"{key!r} in {where} must be a number")
+    return out
 
 
-def _need(d, key, where):
-    if key not in d:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return d[key]
+def _doc(table, values: dict) -> dict:
+    """The JSON object of the attribute values, written through table."""
+    return {key: values[attr] if unit in (None, 1.0) else values[attr] / unit
+            for key, attr, unit, _ in table}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "config")
-    ver = _need(doc, "schema_version", "config")
-    if ver != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config schema_version {ver}")
-    modes_doc = _need(doc, "modes", "config")
-    if not isinstance(modes_doc, list) or not modes_doc:
+    top = _fields(doc, _TOP, "config")
+    ver = top.pop("schema_version")
+    if isinstance(ver, bool) or ver != CONFIG_SCHEMA_VERSION:
+        raise ConfigError(f"unsupported config schema_version {ver!r}")
+    if not isinstance(top["modes"], list) or not top["modes"]:
         raise ConfigError("modes must be a non-empty list")
-    modes = []
-    coupling = []
-    for k, md in enumerate(modes_doc):
-        where = f"modes[{k}]"
-        if not isinstance(md, dict):
-            raise ConfigError(f"{where} must be an object")
-        _reject_unknown(md, _MODE_KEYS, where)
-        modes.append(MechMode(
-            omega_m=TWO_PI * float(_need(md, "omega_m_hz", where)),
-            gamma=TWO_PI * float(_need(md, "gamma_hz", where)),
-            mass=1e-12 * float(_need(md, "mass_ng", where)),
-            nbar=float(_need(md, "nbar", where))))
-        coupling.append(TWO_PI * float(_need(md, "coupling_hz", where)))
-    drift = PhaseDriftSpec()
-    if "drift" in doc:
-        dd = doc["drift"]
-        if not isinstance(dd, dict):
-            raise ConfigError("drift must be an object")
-        _reject_unknown(dd, _DRIFT_KEYS, "drift")
-        drift = PhaseDriftSpec(
-            amplitude=float(dd.get("amplitude_rad", 0.0)),
-            freq_hz=float(dd.get("freq_hz", 25.0)),
-            kind=str(dd.get("kind", "sine")))
-    return ExperimentConfig(
-        kappa=TWO_PI * float(_need(doc, "kappa_hz", "config")),
-        detuning=TWO_PI * float(doc.get("detuning_hz", 0.0)),
-        modes=tuple(modes),
-        coupling=tuple(coupling),
-        omega_beat=TWO_PI * float(_need(doc, "omega_beat_hz", "config")),
-        theta0=float(doc.get("theta0_rad", 0.0)),
-        drift=drift,
-        shot_floor=float(doc.get("shot_floor", 1.0)),
-        backaction_weight=float(doc.get("backaction_weight", 0.0)))
+    modes = [_fields(md, _MODE, f"modes[{k}]")
+             for k, md in enumerate(top["modes"])]
+    top["coupling"] = tuple(md.pop("coupling") for md in modes)
+    top["modes"] = tuple(MechMode(**md) for md in modes)
+    top["drift"] = PhaseDriftSpec(**_fields(top["drift"], _DRIFT, "drift"))
+    return ExperimentConfig(**top)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "kappa_hz": cfg.kappa / TWO_PI,
-        "detuning_hz": cfg.detuning / TWO_PI,
-        "omega_beat_hz": cfg.omega_beat / TWO_PI,
-        "theta0_rad": cfg.theta0,
-        "shot_floor": cfg.shot_floor,
-        "backaction_weight": cfg.backaction_weight,
-        "drift": {"amplitude_rad": cfg.drift.amplitude,
-                  "freq_hz": cfg.drift.freq_hz, "kind": cfg.drift.kind},
-        "modes": [
-            {"omega_m_hz": m.omega_m / TWO_PI, "gamma_hz": m.gamma / TWO_PI,
-             "mass_ng": m.mass / 1e-12, "nbar": m.nbar,
-             "coupling_hz": g / TWO_PI}
-            for m, g in zip(cfg.modes, cfg.coupling)],
-    }
+    return _doc(_TOP, dict(vars(cfg), schema_version=CONFIG_SCHEMA_VERSION,
+                           drift=_doc(_DRIFT, vars(cfg.drift)),
+                           modes=[_doc(_MODE, dict(vars(m), coupling=g))
+                                  for m, g in zip(cfg.modes, cfg.coupling)]))
 
 
 def read_config(path) -> ExperimentConfig:
     try:
         with open(path, "r") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an int of 4301 digits
         raise ConfigError(f"{path}: invalid JSON ({e})") from e
     return config_from_dict(doc)
 

@@ -53,14 +53,13 @@ def _map_grid(trace: TimeTrace, segments: int, band):
 
 
 @contextmanager
-def _fits(n_theta: int, n_cols: int):
-    """Turn a MemoryError in the block into a ValueError naming the map's
-    size."""
+def _fits(what: str):
+    """Turn a MemoryError in the block, or an OverflowError of a size past
+    any index, into a ValueError saying `what` does not fit in memory."""
     try:
         yield
-    except MemoryError:
-        raise ValueError(f"a map of {n_theta} theta by {n_cols} columns "
-                         "does not fit in memory") from None
+    except (MemoryError, OverflowError):
+        raise ValueError(f"{what} does not fit in memory") from None
 
 
 def theta_map_exact(trace: TimeTrace, epsilon: float, n_theta: int = 800,
@@ -70,7 +69,7 @@ def theta_map_exact(trace: TimeTrace, epsilon: float, n_theta: int = 800,
     """Reference map: one rhet_spectrum call per theta row."""
     workers = _thread_count(workers)
     _, freqs, mask = _map_grid(trace, segments, band)
-    with _fits(n_theta, freqs.size):
+    with _fits(f"a map of {n_theta} theta by {freqs.size} columns"):
         thetas = _theta_grid(n_theta)
         rows = np.empty((n_theta, freqs.size))
     FilterSpec(epsilon=epsilon, omega_beat=trace.omega_beat)  # checks epsilon
@@ -95,12 +94,13 @@ def theta_map_fast(trace: TimeTrace, epsilon: float, n_theta: int = 800,
     FilterSpec(epsilon=epsilon, omega_beat=trace.omega_beat)  # checks epsilon
     workers = _thread_count(workers)
     n_seg, freqs, mask = _map_grid(trace, segments, band)
-    with _fits(n_theta, freqs.size):
+    size = f"a map of {n_theta} theta by {freqs.size} columns"
+    with _fits(size):
         thetas = _theta_grid(n_theta)
     basis = _stream_basis(trace, segments, variant, phase_correction, workers)
     # the non-negative bin of each in-band column (the streams are even in w)
     cols = np.abs(np.arange(n_seg) - n_seg // 2)[mask]
-    with _fits(n_theta, freqs.size):
+    with _fits(size):
         a, mean = _quadrature_weights(epsilon, thetas), basis.mean[:, cols]
         rows = np.empty((n_theta, cols.size))
     blk = [slice(i, i + 16) for i in range(0, n_theta, 16)]  # theta rows

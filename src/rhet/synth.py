@@ -29,8 +29,8 @@ import warnings
 import numpy as np
 
 from .analytic import _model_rows
-from .core import (TWO_PI, ConfigError, ExperimentConfig, PhaseSeries,
-                   TimeTrace, validate_config)
+from .core import (TWO_PI, ExperimentConfig, PhaseSeries, TimeTrace,
+                   check_config)
 from .estimator import _in_place
 
 
@@ -126,13 +126,8 @@ def synth_gaussian_trace(cfg: ExperimentConfig, duration: float, dt: float,
     modulation with the configured LO phase and drift, optional coherent
     pilot tone pilot_amplitude*cos(Om t + theta(t)) for lock-in tracking.
     """
-    problems = validate_config(cfg, dt=dt)
-    errors = [p for p in problems if p.startswith("error")]
-    if errors:
-        raise ConfigError("; ".join(errors))
-    for p in problems:
-        if p.startswith("warning"):
-            warnings.warn(p, stacklevel=2)
+    for w in check_config(cfg, dt=dt):
+        warnings.warn(w, stacklevel=2)
     if not 0 < duration < np.inf:
         raise ValueError("duration must be positive and finite")
     n = int(round(duration / dt))

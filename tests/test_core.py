@@ -84,6 +84,11 @@ def test_validate_config_checks_sampling(thermal_cfg):
     for bad in (0.0, -2e-7, np.inf, np.nan):
         assert "error: dt must be positive and finite" in \
             validate_config(thermal_cfg, dt=bad)
+    # no mode frequency passes its bound: the sideband check still runs
+    lone = _one_mode_cfg(modes=(MechMode(omega_m=np.nan, gamma=1e3,
+                                         mass=1.0, nbar=0.0),))
+    assert "error: mode 0: omega_m must be finite and positive" in \
+        validate_config(lone, dt=2e-7)
 
 
 def test_time_trace_contracts():

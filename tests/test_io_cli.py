@@ -77,6 +77,9 @@ def test_config_roundtrip(tmp_path, thermal_cfg):
     assert len(back.modes) == 2
     assert back.theta0 == 0.35
     assert back.drift.amplitude == 0.2
+    doc = config_to_dict(cfg)
+    doc["kappa_hz"] = str(doc["kappa_hz"])  # a string number still parses
+    assert config_from_dict(doc) == back
 
 
 @pytest.mark.parametrize("mutate,needle", [
@@ -86,6 +89,7 @@ def test_config_roundtrip(tmp_path, thermal_cfg):
     (lambda d: d.pop("kappa_hz"), "missing key"),
     (lambda d: d["modes"][0].pop("nbar"), "missing key"),
     (lambda d: d.update(schema_version=99), "schema_version"),
+    (lambda d: d.update(schema_version=True), "schema_version True"),
 ])
 def test_config_reader_rejects_bad_documents(tmp_path, thermal_cfg, mutate,
                                              needle):
@@ -501,6 +505,11 @@ def test_cli_rejects_segment_counts_below_one(cli_ws, capsys, cmd, segments):
     (["spectrum", "--mode", "welch", "--window", "hann"], "--mode rhet"),
     (["spectrum", "--mode", "welch", "--max-lag", "1e-3"], "--mode rhet"),
     (["spectrum", "--mode", "cross", "--lockin"], "--mode rhet"),
+    # grids numpy refuses at once: 70 TB and 2.9 PB of frequencies
+    (["analytic", "--fmax", "1e15"],
+     "an analytic grid of 8771929824563 bins does not fit in memory"),
+    (["analytic", "--bins-per-gamma", "1e12"],
+     "an analytic grid of 364986842105265 bins does not fit in memory"),
 ])
 def test_cli_rejects_bad_filter_parameters(cli_ws, capsys, argv, message):
     out = cli_ws / "bad_filter.csv"
@@ -839,12 +848,21 @@ def test_cli_compare_report_holds_no_nan(cli_ws, tmp_path, capsys):
     ("coupling 0", ("modes", 0, "coupling_hz")),
     ("backaction_weight", ("backaction_weight",)),
     ("drift amplitude", ("drift", "amplitude_rad")),
-    ("theta0", ("theta0_rad",)), ("detuning", ("detuning_hz",))])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    ("theta0", ("theta0_rad",)), ("detuning", ("detuning_hz",)),
+    ("kappa", ("kappa_hz",)), ("omega_beat", ("omega_beat_hz",)),
+    ("shot_floor", ("shot_floor",)), ("omega_m", ("modes", 0, "omega_m_hz")),
+    ("gamma", ("modes", 0, "gamma_hz")), ("mass", ("modes", 0, "mass_ng")),
+    ("drift freq_hz", ("drift", "freq_hz"))])
+@pytest.mark.parametrize("value", [
+    np.nan, np.inf, -np.inf, pytest.param([1], id="list"), None, "abc", True,
+    pytest.param(10 ** 400, id="401-digit int")])
 def test_cli_non_finite_config_field_exits_2(cli_ws, tmp_path, capsys, field,
                                              path, value):
     # Python's json writes and reads NaN and Infinity; neither may reach a
-    # spectrum or a trace as a silent NaN
+    # spectrum or a trace as a silent NaN. A value that is no number is
+    # named by its key before validate_config sees the config.
+    needle = (f"{field} must be" if isinstance(value, float)
+              else f"{path[-1]!r} in")
     doc = json.loads((cli_ws / "config.json").read_text())
     node = doc
     for key in path[:-1]:
@@ -857,7 +875,9 @@ def test_cli_non_finite_config_field_exits_2(cli_ws, tmp_path, capsys, field,
         out = tmp_path / "out"
         assert main(argv + ["--config", str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"{field} must be" in err
+        assert err.count("\n") == 1 and needle in err
+        assert err.startswith("error: ") and err.count("error:") == 1
+        assert "Traceback" not in err
         assert not out.exists()
 
 
