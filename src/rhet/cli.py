@@ -219,6 +219,8 @@ def _cmd_analytic(args) -> int:
     df = min(m.gamma for m in cfg.modes) / TWO_PI / args.bins_per_gamma
     n = np.ceil(fmax / df)
     with _fits(f"an analytic grid of {2 * n + 1:.0f} bins"):
+        if 2 * n + 1 > np.iinfo(np.intp).max:  # np.arange would not name it
+            raise OverflowError
         freqs = TWO_PI * df * np.arange(-int(n), int(n) + 1)
         fs = field_spectra(cfg, freqs)
         if args.kind == "homodyne":

@@ -121,10 +121,10 @@ class TimeTrace:
             raise ValueError("trace must be a 1-d array with at least 2 samples")
         if not np.isfinite(self.samples).all():
             raise ValueError("trace contains non-finite samples")
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
-        if not (self.omega_beat > 0):
-            raise ValueError("omega_beat must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 < self.omega_beat < np.inf:
+            raise ValueError("omega_beat must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -190,8 +190,8 @@ class FilterSpec:
             raise ValueError("epsilon must lie in [-1, 1]")
         if not np.isfinite(self.phase_offset):
             raise ValueError("filter phase must be finite")
-        if not (self.omega_beat > 0):
-            raise ValueError("omega_beat must be positive")
+        if not 0 < self.omega_beat < np.inf:
+            raise ValueError("omega_beat must be positive and finite")
 
 
 @dataclass(eq=False)
@@ -241,8 +241,8 @@ class ThetaMap:
         self.spectra = np.asarray(self.spectra, dtype=np.float64)
         if self.spectra.shape != (self.thetas.size, self.freqs.size):
             raise ValueError("spectra must have shape (n_theta, n_freq)")
-        if not (self.normalization > 0):
-            raise ValueError("normalization must be positive")
+        if not 0 < self.normalization < np.inf:
+            raise ValueError("normalization must be positive and finite")
 
 
 # The bound of each number in a config, by the object that holds it. Every

@@ -52,7 +52,6 @@ angular-frequency grids, S = dt * Re FFT(A), so sum(S) dw = 2 pi A(0).
 """
 from __future__ import annotations
 
-import itertools
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -77,7 +76,6 @@ class Autocorrelation:
     transform ran on (needed to place the spectrum on the right grid).
     """
 
-    lags: np.ndarray
     values: np.ndarray
     variant: str
     filter: FilterSpec
@@ -240,7 +238,6 @@ def filtered_autocorr(trace: TimeTrace, f: FilterSpec,
     else:
         half = _tbar_half(cur, dt, f, t_abs)
     return Autocorrelation(
-        lags=np.arange(n_lag + 1) * dt,
         values=np.asarray(half[: n_lag + 1], dtype=float), variant=variant,
         filter=f, dt=dt, n_fft=n, meta={"t_offset": float(t_offset)})
 
@@ -328,31 +325,20 @@ def _thread_count(workers) -> int:
 def _on_threads(body, count, workers, consume=lambda out: None,
                 workspace=lambda: None):
     """body(i, space) for i < count on k = min(workers, count) threads:
-    item i on the calling thread when i % k == 0, else on a helper of a
-    pool made for this call, which keeps one item queued behind the one it
-    runs. Each item in flight has its own space from workspace(), called on
-    the calling thread (so a helper gets a second only if it has two
-    items), reused once consume(result) has run on the calling thread, in
-    item order."""
+    item i on slot i % k, slot 0 being the calling thread and the others
+    helpers of a pool made for this call. Each slot runs one item at a time
+    in its own space; the calling thread makes all k with workspace()
+    before any helper starts. consume(result) runs on the calling thread
+    in item order, and only then does that slot's next item start."""
     k = min(workers, count)
-    own, free, queued = workspace(), [], {}
-    helper_items = (i for i in range(count) if i % k)
+    spaces = [workspace() for _ in range(k)]
     with ThreadPoolExecutor(max(k - 1, 1)) as pool:
-        def refill():
-            for i in itertools.islice(helper_items,
-                                      2 * (k - 1) - len(queued)):
-                space = free.pop() if free else workspace()
-                queued[i] = (pool.submit(body, i, space), space)
-
-        refill()
+        pending = {i: pool.submit(body, i, spaces[i]) for i in range(1, k)}
         for i in range(count):
-            if i % k == 0:
-                consume(body(i, own))
-                continue
-            future, space = queued.pop(i)
-            consume(future.result())
-            free.append(space)
-            refill()
+            slot = i % k
+            consume(pending.pop(i).result() if slot else body(i, spaces[0]))
+            if slot and i + k < count:
+                pending[i + k] = pool.submit(body, i + k, spaces[slot])
 
 
 class _Moments:

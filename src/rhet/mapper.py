@@ -5,13 +5,14 @@ memoised stream basis (see rhet.estimator):
 
     S(theta, w) = c0 * P0(w) + c1 * Re[e^{-i 2 theta} G(w)]
 
-The fast path and the exact path (tbar, or eps = +1) build the basis on
-`workers` threads (None: every usable CPU); the fast path fills its rows
-in blocks on as many, elementwise in a fixed order. Any count gives the
-same bits. The exact path calls rhet_spectrum per theta; in tbar that
-reads the basis, so the map equals the fast map to the bit. A t0 exact map
-samples the true square wave while the fast path keeps the fundamental
-only, a couple percent on band-limited spectra.
+The fast path builds the basis on `workers` threads (None: every usable
+CPU) and fills its rows in blocks on as many, one item per thread at a
+time, elementwise in a fixed order: any count gives the same bits. The
+exact path builds it (tbar, or eps = +1) on every usable CPU, then calls
+rhet_spectrum per theta; in tbar that reads the basis, so the map equals
+the fast map to the bit. A t0 exact map samples the true square wave while
+the fast path keeps the fundamental only, a couple percent on band-limited
+spectra.
 """
 from __future__ import annotations
 
@@ -64,17 +65,16 @@ def _fits(what: str):
 
 def theta_map_exact(trace: TimeTrace, epsilon: float, n_theta: int = 800,
                     variant: str = "tbar", segments: int = 1,
-                    band=None, phase_correction: Optional[PhaseSeries] = None,
-                    workers: Optional[int] = None) -> ThetaMap:
+                    band=None, phase_correction: Optional[PhaseSeries] = None
+                    ) -> ThetaMap:
     """Reference map: one rhet_spectrum call per theta row."""
-    workers = _thread_count(workers)
     _, freqs, mask = _map_grid(trace, segments, band)
     with _fits(f"a map of {n_theta} theta by {freqs.size} columns"):
         thetas = _theta_grid(n_theta)
         rows = np.empty((n_theta, freqs.size))
     FilterSpec(epsilon=epsilon, omega_beat=trace.omega_beat)  # checks epsilon
     if variant == "tbar" or epsilon == 1.0:  # the rows read it from the memo
-        _stream_basis(trace, segments, variant, phase_correction, workers)
+        _stream_basis(trace, segments, variant, phase_correction)
     for row, th in zip(rows, thetas):
         row[:] = rhet_spectrum(trace, epsilon, th, variant=variant,
                                segments=segments,

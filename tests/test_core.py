@@ -102,6 +102,10 @@ def test_time_trace_contracts():
         TimeTrace(samples=np.arange(5.0), dt=0.0, omega_beat=10.0)
     with pytest.raises(ValueError):
         TimeTrace(samples=np.arange(5.0), dt=0.5, omega_beat=-1.0)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        TimeTrace(samples=np.arange(5.0), dt=np.inf, omega_beat=10.0)
+    with pytest.raises(ValueError, match="omega_beat must be positive and"):
+        TimeTrace(samples=np.arange(5.0), dt=0.5, omega_beat=np.inf)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -136,6 +140,8 @@ def test_filter_spec_contracts():
         FilterSpec(epsilon=-1.5, omega_beat=1.0)
     with pytest.raises(ValueError):
         FilterSpec(epsilon=0.0, omega_beat=0.0)
+    with pytest.raises(ValueError, match="omega_beat must be positive and"):
+        FilterSpec(epsilon=0.0, omega_beat=np.inf)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="filter phase must be finite"):
             FilterSpec(epsilon=0.0, omega_beat=1.0, phase_offset=bad)
@@ -163,6 +169,9 @@ def test_theta_map_contracts():
     with pytest.raises(ValueError):
         ThetaMap(thetas=np.arange(3.0), freqs=np.arange(4.0),
                  spectra=np.zeros((3, 4)), normalization=0.0)
+    with pytest.raises(ValueError, match="normalization must be positive"):
+        ThetaMap(thetas=np.arange(3.0), freqs=np.arange(4.0),
+                 spectra=np.zeros((3, 4)), normalization=np.inf)
 
 
 _finite = dict(allow_nan=False, allow_infinity=False)

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -510,6 +511,9 @@ def test_cli_rejects_segment_counts_below_one(cli_ws, capsys, cmd, segments):
      "an analytic grid of 8771929824563 bins does not fit in memory"),
     (["analytic", "--bins-per-gamma", "1e12"],
      "an analytic grid of 364986842105265 bins does not fit in memory"),
+    # counts past any array size, which np.arange would refuse unnamed
+    (["analytic", "--fmax", "1e300"], "does not fit in memory"),
+    (["analytic", "--bins-per-gamma", "1e300"], "does not fit in memory"),
 ])
 def test_cli_rejects_bad_filter_parameters(cli_ws, capsys, argv, message):
     out = cli_ws / "bad_filter.csv"
@@ -664,6 +668,26 @@ def test_cli_spectrum_rejects_non_finite_trace_as_io_error(cli_ws, tmp_path,
     assert "non-finite" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["dt", "omega_beat"])
+def test_cli_rejects_infinite_trace_header_as_io_error(tmp_path, capsys,
+                                                       field):
+    # write_trace cannot make this file, so the 72-byte header is packed here
+    dt, om = {"dt": (np.inf, 6.3e4), "omega_beat": (2e-7, np.inf)}[field]
+    bad, n = tmp_path / "inf.rht", 4096
+    bad.write_bytes(struct.pack("<4sIdddQ32x", b"RHTR", 1, dt, om, 0.0, n)
+                    + np.ones(n, dtype="<f8").tobytes())
+    out = tmp_path / "o.csv"
+    for argv in (["spectrum", "--mode", "rhet"],
+                 ["spectrum", "--mode", "welch"], ["map"]):
+        rc = main(argv + ["--in", str(bad), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("\n") == 1
+        assert f"{field} must be positive and finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def test_cli_lockin_spectrum_raises_drifting_peaks(cli_ws, thermal_cfg):
