@@ -18,13 +18,13 @@ import numpy as np
 from . import __version__
 from .analytic import (field_spectra, filter_coefficients, heterodyne_psd,
                        homodyne_psd, rhet_prediction)
-from .core import TWO_PI, ConfigError, check_config
+from .core import TWO_PI, ConfigError, _fits, check_config
 from .estimator import complex_corr_spectrum, rhet_spectrum, standard_psd
 from .io import (CONFIG_SCHEMA_VERSION, TRACE_VERSION, _atomic_write,
                  compare_spectra, read_config, read_spectrum, read_trace,
                  write_map, write_spectrum, write_trace)
 from .lockin import demodulate
-from .mapper import _fits, theta_map_exact, theta_map_fast, normalize_map
+from .mapper import theta_map_exact, theta_map_fast, normalize_map
 from .synth import synth_gaussian_trace
 
 
@@ -218,9 +218,7 @@ def _cmd_analytic(args) -> int:
     fmax = 1.5 * top / TWO_PI if args.fmax is None else args.fmax
     df = min(m.gamma for m in cfg.modes) / TWO_PI / args.bins_per_gamma
     n = np.ceil(fmax / df)
-    with _fits(f"an analytic grid of {2 * n + 1:.0f} bins"):
-        if 2 * n + 1 > np.iinfo(np.intp).max:  # np.arange would not name it
-            raise OverflowError
+    with _fits(f"an analytic grid of {2 * n + 1:.0f} bins", 2 * n + 1):
         freqs = TWO_PI * df * np.arange(-int(n), int(n) + 1)
         fs = field_spectra(cfg, freqs)
         if args.kind == "homodyne":

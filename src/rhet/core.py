@@ -9,6 +9,7 @@ and convert on the way in/out (see rhet.io).
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -315,6 +316,19 @@ def check_config(cfg: ExperimentConfig, dt: Optional[float] = None) -> list:
     if errors:
         raise ConfigError("; ".join(errors))
     return [p for p in problems if p.startswith("warning")]
+
+
+@contextmanager
+def _fits(what: str, count: float = 0):
+    """Turn a count past any index (inf too), a MemoryError in the block or
+    an OverflowError of a size into a ValueError saying `what` does not fit
+    in memory. Check the count before anything is allocated."""
+    try:
+        if not count <= np.iinfo(np.intp).max:
+            raise OverflowError
+        yield
+    except (MemoryError, OverflowError):
+        raise ValueError(f"{what} does not fit in memory") from None
 
 
 def default_thermal_config(detuning: float = -TWO_PI * 1.0e5) -> ExperimentConfig:

@@ -16,12 +16,12 @@ spectra.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
 
-from .core import FilterSpec, PhaseSeries, Spectrum, ThetaMap, TimeTrace
+from .core import (FilterSpec, PhaseSeries, Spectrum, ThetaMap, TimeTrace,
+                   _fits)
 from .estimator import (_combine, _on_threads, _quadrature_weights,
                         _segments, _spectrum_grid, _stream_basis,
                         _thread_count, rhet_spectrum)
@@ -51,16 +51,6 @@ def _map_grid(trace: TimeTrace, segments: int, band):
     freqs = _spectrum_grid(n_seg, trace.dt)
     mask = _band_mask(freqs, band)
     return n_seg, freqs[mask], mask
-
-
-@contextmanager
-def _fits(what: str):
-    """Turn a MemoryError in the block, or an OverflowError of a size past
-    any index, into a ValueError saying `what` does not fit in memory."""
-    try:
-        yield
-    except (MemoryError, OverflowError):
-        raise ValueError(f"{what} does not fit in memory") from None
 
 
 def theta_map_exact(trace: TimeTrace, epsilon: float, n_theta: int = 800,

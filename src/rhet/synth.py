@@ -30,7 +30,7 @@ import numpy as np
 
 from .analytic import _model_rows
 from .core import (TWO_PI, ExperimentConfig, PhaseSeries, TimeTrace,
-                   check_config)
+                   _fits, check_config)
 from .estimator import _in_place
 
 
@@ -130,18 +130,18 @@ def synth_gaussian_trace(cfg: ExperimentConfig, duration: float, dt: float,
         warnings.warn(w, stacklevel=2)
     if not 0 < duration < np.inf:
         raise ValueError("duration must be positive and finite")
-    n = int(round(duration / dt))
-    if n < 16:
-        raise ValueError("duration too short")
-    if duration < 20.0 * TWO_PI / cfg.omega_beat:
-        warnings.warn("trace shorter than 20 beat periods", stacklevel=2)
-    gmin = min(m.gamma for m in cfg.modes)
-    if duration < 20.0 / gmin:
-        warnings.warn("trace shorter than 20 mechanical decay times", stacklevel=2)
-
-    rng = np.random.default_rng(seed)
-    a = _draw_field(cfg, n, dt, rng)
-    ph = np.arange(n) * dt
+    with _fits(f"a trace of {duration / dt:.0f} samples", duration / dt):
+        n = int(round(duration / dt))
+        if n < 16:
+            raise ValueError("duration too short")
+        if duration < 20.0 * TWO_PI / cfg.omega_beat:
+            warnings.warn("trace shorter than 20 beat periods", stacklevel=2)
+        if duration < 20.0 / min(m.gamma for m in cfg.modes):
+            warnings.warn("trace shorter than 20 mechanical decay times",
+                          stacklevel=2)
+        rng = np.random.default_rng(seed)
+        a = _draw_field(cfg, n, dt, rng)
+        ph = np.arange(n) * dt
     d = cfg.drift
     if d.amplitude == 0.0:
         th = cfg.theta0

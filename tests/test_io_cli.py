@@ -271,6 +271,66 @@ def test_csv_writers_match_per_field_format(tmp_path):
                     for k in range(7)]
 
 
+def _oracle_values():
+    """Values that stress each step of the numpy formatter, shuffled."""
+    rng = np.random.default_rng(20)
+    p = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    # exact decimal ties: odd n / 2**e with 18 significant digits
+    ties = []
+    for e in range(2, 26):
+        lo, hi = 10 ** (17 - e) * 2 ** e, min(10 ** (18 - e) * 2 ** e, 2 ** 53)
+        if lo < hi:
+            ties.append((rng.integers(lo, hi, 4000) | 1) / 2.0 ** e)
+    ties = np.concatenate(ties)
+    ties[::2] *= -1
+    v = np.concatenate([
+        rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(float),
+        p, np.nextafter(p, 0), np.nextafter(p, np.inf), -p, ties,
+        rng.integers(1, 2 ** 52, 1000, dtype=np.uint64).view(float),  # subnormal
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+         np.finfo(float).max, 1e16, 1e17, np.nextafter(1e17, 0), 1e-5, 1e-4,
+         np.nextafter(1e-4, 0), 0.5, 1.0, 123.0, -1e-300, 1e290]])
+    return rng.permutation(v)
+
+
+@pytest.mark.parametrize("ncols", [1, 3, 4, 1767])
+def test_csv_rows_have_the_bytes_of_percent_17g(ncols):
+    # every field of every block against '%.17g' itself; the rows span
+    # many blocks, and the leading column is passed apart, as maps do
+    import io
+    from fractions import Fraction
+    from rhet.io import _write_rows
+    # 1e-243 is below 10**-243 but rounds to it: a carry to 10**17 digits
+    assert Fraction(1e-243) < Fraction(1, 10 ** 243)
+    v = _oracle_values()
+    table = v[:v.size // ncols * ncols].reshape(-1, ncols)
+    buf = io.StringIO()
+    _write_rows(buf, table[:, 0], *([table[:, 1:]] if ncols > 1 else []))
+    got = buf.getvalue().replace("\n", ",").split(",")[:-1]
+    want = ["%.17g" % x for x in table.ravel().tolist()]
+    assert len(got) == len(want)
+    assert [(w, g) for w, g in zip(want, got) if w != g][:5] == []
+    assert "%.17g" % 1e-243 == "1e-243" and 1e-243 in table
+
+
+def test_csv_map_writer_does_not_copy_the_table(tmp_path):
+    # rows are stacked one block at a time, so the writer's peak stays
+    # below the size of the table it writes
+    import tracemalloc
+    rng = np.random.default_rng(8)
+    m = ThetaMap(thetas=np.linspace(0.0, np.pi, 800, endpoint=False),
+                 freqs=TWO_PI * np.linspace(3.5e5, 4.1e5, 1690),
+                 spectra=rng.standard_normal((800, 1690)))
+    tracemalloc.start()
+    try:
+        write_map(tmp_path / "m.csv", m, fmt="csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.spectra.nbytes
+    assert np.array_equal(read_map(tmp_path / "m.csv").spectra, m.spectra)
+
+
 # ------------------------------------------------------------------- maps
 
 @pytest.mark.parametrize("fmt", ["csv", "npz"])
@@ -628,10 +688,13 @@ _EDGE_FLOATS = st.one_of(
                             ["map", "--thetas", "8"]]),
        theta=_EDGE_FLOATS, epsilon=_EDGE_FLOATS,
        segments=st.one_of(st.sampled_from([0, -1, 625, 626, 2**31]),
-                          st.integers(-3, 64)))
+                          st.integers(-3, 64)),
+       extra=st.sampled_from([[], ["--max-lag"], ["--lockin", "--bandwidth"]]),
+       value=_EDGE_FLOATS)
 def test_cli_fuzzed_filter_arguments_exit_cleanly(tiny_trace_path,
                                                   tmp_path_factory, cmd, theta,
-                                                  epsilon, segments):
+                                                  epsilon, segments, extra,
+                                                  value):
     out = tmp_path_factory.mktemp("fuzz") / "out.csv"
     # "--flag=value", since argparse reads a bare "-1e-05" or "-inf" as a
     # flag; the welch and cross modes read no filter flags
@@ -641,11 +704,27 @@ def test_cli_fuzzed_filter_arguments_exit_cleanly(tiny_trace_path,
         argv.append(f"--epsilon={epsilon!r}")
         if cmd[0] == "spectrum":
             argv.append(f"--theta={theta!r}")
+    if extra and cmd[0] == "spectrum":
+        argv += extra[:-1] + [f"{extra[-1]}={value!r}"]
     rc = main(argv)
     assert rc in (0, 2, 3)
     if rc == 0 and cmd[0] == "spectrum":
         # no bad value may come back as a silent all-NaN spectrum
         assert np.isfinite(read_spectrum(out).values).all()
+
+
+@pytest.mark.parametrize("flag", [["--max-lag"], ["--lockin", "--bandwidth"]])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "1e-300"])
+def test_cli_rejects_bad_lag_and_bandwidth_in_one_line(tiny_trace_path,
+                                                       tmp_path, capsys, flag,
+                                                       value):
+    out = tmp_path / "o.csv"
+    rc = main(["spectrum", "--in", str(tiny_trace_path), "--out", str(out)]
+              + flag[:-1] + [f"{flag[-1]}={value}"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_spectrum_missing_input_is_io_error(tmp_path):
@@ -768,6 +847,24 @@ def test_cli_map_too_large_to_allocate_exits_2(cli_ws, capsys, exact):
     err = capsys.readouterr().err
     assert err == ("error: a map of 100000000000 theta by 62500 columns "
                    "does not fit in memory\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["--duration", "1e9"], "5000000000000000"),  # numpy refuses 40 PB at once
+    (["--duration", "1e300", "--dt", "1e-10"], "inf"),
+    (["--duration", "1e300"], "5000000000000000"),  # past any array size
+])
+def test_cli_synth_too_large_to_allocate_exits_2(cli_ws, capsys, argv,
+                                                 count):
+    out = cli_ws / "huge.rht"
+    rc = main(["synth", "--config", str(cli_ws / "config.json"), "--out",
+               str(out), "--seed", "1"] + argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: a trace of {count}")
+    assert err.endswith(" samples does not fit in memory\n")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
