@@ -218,7 +218,7 @@ def _cmd_analytic(args) -> int:
     fmax = 1.5 * top / TWO_PI if args.fmax is None else args.fmax
     df = min(m.gamma for m in cfg.modes) / TWO_PI / args.bins_per_gamma
     n = np.ceil(fmax / df)
-    with _fits(f"an analytic grid of {2 * n + 1:.0f} bins", 2 * n + 1):
+    with _fits("an analytic grid of {} bins", 2 * n + 1):
         freqs = TWO_PI * df * np.arange(-int(n), int(n) + 1)
         fs = field_spectra(cfg, freqs)
         if args.kind == "homodyne":

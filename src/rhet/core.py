@@ -321,14 +321,15 @@ def check_config(cfg: ExperimentConfig, dt: Optional[float] = None) -> list:
 @contextmanager
 def _fits(what: str, count: float = 0):
     """Turn a count past any index (inf too), a MemoryError in the block or
-    an OverflowError of a size into a ValueError saying `what` does not fit
-    in memory. Check the count before anything is allocated."""
+    an OverflowError of a size into a ValueError: `what` (the count in its
+    {}, %.3g from 1e15) does not fit in memory. It checks the count first."""
     try:
         if not count <= np.iinfo(np.intp).max:
             raise OverflowError
         yield
     except (MemoryError, OverflowError):
-        raise ValueError(f"{what} does not fit in memory") from None
+        n = f"{count:.0f}" if count < 1e15 else f"{count:.3g}"
+        raise ValueError(what.format(n) + " does not fit in memory") from None
 
 
 def default_thermal_config(detuning: float = -TWO_PI * 1.0e5) -> ExperimentConfig:

@@ -9,6 +9,13 @@ with F_eps the square filter of FilterSpec and t* the first sample time
 Welch PSD; eps = -1 cancels the heterodyne background and keeps only the
 beat-synchronous correlations.
 
+Every segment average runs through one driver, _segment_moments: a
+route's body gives the rows of each segment, and the driver adds them to a
+running mean and co-moment (Welford) in segment order, so any worker count
+gives the same bits. The stream basis and Welch run on every usable CPU;
+the t0, cross and lag-window bodies allocate, and stay on the calling
+thread (memory a helper thread allocates stays in its own malloc arena).
+
 One engine serves the tbar spectrum, both phase maps and the cross-spectrum.
 Each segment gives two theta-independent streams, even in w and kept on
 the n//2+1 non-negative bins: P0 = dt/N |FFT i|^2 and G = dt (D(w) + D(-w)),
@@ -19,22 +26,20 @@ carries half the drift correction). The filter's Fourier series gives
     S(eps, theta, w) = c0 P0 + c1 Re[e^{-2i theta} G];
 
 harmonics k >= 3 demodulate content at 2k Om, where stationary input has
-none. The running mean and co-moment M (Welford, fixed segment order, one
-entry per pair of rows) of (P0, Re G, Im G) is memoised per trace, so each
-further (eps, theta) costs O(n_freq); the variance of
-a = (c0, c1 cos 2theta, c1 sin 2theta) applied to it is a^T M a / (S(S-1)).
-With y = i or e^{-i d/2} i and K = 2 Om N dt / 2 pi an integer (_bin_shift),
-conj(FFT x)[k] = e^{2i Om t_off} FFT(y)[(-k - K) mod N]: per segment the
-"shifted" route takes one rfft (static) or one complex FFT and one rfft
-(drift), the "transformed" route one complex FFT more, and tbar adds two
-for the lag phase e^{i Om tau}. Each build logs its route at DEBUG.
+none. The moments M of (P0, Re G, Im G) are memoised per trace, so each
+further (eps, theta) costs O(n_freq); the variance of a = (c0, c1 cos
+2theta, c1 sin 2theta) applied to it is a^T M a / (S(S-1)). With y = i or
+e^{-i d/2} i and K = 2 Om N dt / 2 pi an integer (_bin_shift), conj(FFT
+x)[k] = e^{2i Om t_off} FFT(y)[(-k - K) mod N]: per segment the "shifted"
+route takes one rfft (static) or one complex FFT and one rfft (drift), the
+"transformed" route one complex FFT more, and tbar adds two for the lag
+phase e^{i Om tau}. Each build logs its route at DEBUG.
 
 eps = +1 makes F = 1, and both variants are then standard_psd: row 0 of
-any basis or t0 entry the trace holds, else one rfft per segment on every
-usable CPU (_on_threads), added in segment order. t0 uses the literal
-filter F = a + b s, a = (1+eps)/2, b = (1-eps)/2, s the +-1 square wave,
-so S = a P0 + b T with T = dt/N Re[conj(FFT(s i)) FFT(i)] per segment:
-the same engine on the rows (P0, T) with weights (a, b). Its
+any basis or t0 entry the trace holds, else one rfft per pair of segments.
+t0 uses the literal filter F = a + b s, a = (1+eps)/2, b = (1-eps)/2, s the
++-1 square wave, so S = a P0 + b T with T = dt/N Re[conj(FFT(s i)) FFT(i)]
+per segment: the same engine on the rows (P0, T) with weights (a, b). Its
 per-trace memo holds FFT(i) of each segment (read-only, 8n bytes for n
 samples) and, per theta and phase series, the moments of (P0, T): 2 mean
 and 3 co-moment rows of n_seg/2+1 floats, for the last _T0_THETAS = 4
@@ -298,18 +303,15 @@ def psd_from_autocorr(ac: Autocorrelation, window: str = "rect",
                           "max_lag": max_lag, "n_fft": ac.n_fft, "dt": ac.dt})
 
 
-def _segments(trace: TimeTrace, segments: int):
-    """Check `segments` once, then return the segment length and a list of
-    (absolute start time, samples) of each segment; the trailing
-    trace.n % segments samples are dropped."""
+def _segments(trace: TimeTrace, segments: int) -> int:
+    """The length of each of `segments` segments, once the count is checked;
+    the trailing trace.n % segments samples are dropped."""
     if segments < 1:
         raise ValueError("segments must be >= 1")
     n_seg = trace.n // segments
     if n_seg < 16:
         raise ValueError("segments too short")
-    views = [(s * n_seg * trace.dt, trace.samples[s * n_seg:(s + 1) * n_seg])
-             for s in range(segments)]
-    return n_seg, views
+    return n_seg
 
 
 def _thread_count(workers) -> int:
@@ -376,6 +378,30 @@ class _Moments:
         return np.maximum(q, 0.0) / (self.count * (self.count - 1))
 
 
+def _segment_moments(trace: TimeTrace, segments: int, rows, workers=1,
+                     span=1, workspace=lambda: None, key=None) -> _Moments:
+    """Moments of a route's rows over the segments of a trace, stored under
+    key (the entry held there, if any). Item i covers segments s = i*span..
+    (fewer at the end) on one of `workers` threads (see _on_threads):
+    rows(s, start, samples, space) gets segment s's absolute start time,
+    the item's samples and a workspace, and returns their rows, stacked."""
+    if key in trace._bases:
+        return trace._bases[key]
+    n = _segments(trace, segments)
+    moments = _Moments()
+
+    def item(i, space):
+        s = i * span
+        samples = trace.samples[s * n:min(s + span, segments) * n]
+        return rows(s, s * n * trace.dt, samples, space)
+
+    _on_threads(item, -(-segments // span), workers,
+                lambda out: [moments.add(r) for r in out], workspace)
+    if key is not None:
+        trace._bases[key] = moments
+    return moments
+
+
 def _combine(a, mean, out=None):
     """Rows sum_k a[:, k] mean[k], one per row of a, written into out (new
     by default) through one temporary; elementwise in a fixed order, so a
@@ -387,12 +413,14 @@ def _combine(a, mean, out=None):
     return rows
 
 
-def _two_sided(moments, a, n_fft):
-    """Mean and variance of a . rows, mirrored from the non-negative bins
-    onto the shifted two-sided grid."""
+def _spectrum(moments, a, n_fft, dt, meta) -> Spectrum:
+    """Mean and variance of a . rows, mirrored onto the two-sided grid."""
     variance = moments.variance(a[0])
-    return (_mirror(_combine(a, moments.mean)[0], n_fft),
-            None if variance is None else _mirror(variance, n_fft))
+    return Spectrum(
+        freqs=_spectrum_grid(n_fft, dt),
+        values=_mirror(_combine(a, moments.mean)[0], n_fft),
+        variance=None if variance is None else _mirror(variance, n_fft),
+        meta={**meta, "n_fft": n_fft, "dt": dt})
 
 
 def _quadrature_weights(epsilon, thetas) -> np.ndarray:
@@ -444,16 +472,12 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
                   phase_correction: Optional[PhaseSeries],
                   workers: Optional[int] = None) -> _Moments:
     """Moments of the (P0, Re G, Im G) rows over the segments of a trace,
-    on the non-negative bins; see the module docstring. Memoised on the
-    trace, keyed on the segment count, the variant and the phase series'
-    values. Segments run on `workers` threads (see _on_threads), each in
-    one workspace of two n-point complex arrays, and add up in segment
-    order: the same bits. The module docstring gives the two routes."""
-    workers = _thread_count(workers)
+    on the non-negative bins, memoised by segment count, variant and phase
+    series; the module docstring gives the two routes."""
     key = ("basis", segments, variant, _series_key(phase_correction))
-    if key in trace._bases:
+    if key in trace._bases:  # before the set-up and its DEBUG line
         return trace._bases[key]
-    n, views = _segments(trace, segments)
+    n = _segments(trace, segments)
     h = n // 2 + 1
     dt, om = trace.dt, trace.omega_beat
     dyn = _drift_offset(trace, phase_correction)
@@ -466,9 +490,8 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
     local = _cis((-2.0 * om) * t) if shift is None else None
     lag_phase = _cis(om * _signed_lags(n, dt)) if variant == "tbar" else None
 
-    def segment_rows(s, space):
-        t_off, seg = views[s]  # x ends as the rows; c as P0 and G
-        x, c = space
+    def segment_rows(s, t_off, seg, space):
+        x, c = space  # x ends as the rows; c as P0 and G
         t_abs = None if dyn is None else np.add(t, t_off, out=c.real)
         scale = dt / n
         if shift is None:
@@ -501,45 +524,12 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
         g *= scale
         rows = x.view(float)[:3 * h].reshape(3, h)
         rows[0], rows[1], rows[2] = p0, g.real, g.imag
-        return rows
+        return rows[None]
 
-    moments = _Moments()
-    _on_threads(segment_rows, segments, workers, moments.add,
-                lambda: (np.empty(n, dtype=complex), np.empty(n, dtype=complex)))
-    trace._bases[key] = moments
-    return moments
-
-
-def _p0_moments(trace: TimeTrace, segments: int) -> _Moments:
-    """Welch's moments of P0 = dt/N |rfft i|^2 over the segments: row 0 of
-    a stream basis or t0 entry the trace holds for them (the same bits),
-    else one rfft per pair of consecutive segments, a (2, n) view of the
-    samples, on every usable CPU (see _on_threads), each in a workspace the
-    calling thread allocates (helper threads that allocate their own
-    outputs left the imaging benchmark's peak RSS 14 MB higher in 4 of 10
-    runs), their rows added up in segment order."""
-    held = (m for key, m in trace._bases.items()
-            if key[0] in ("basis", "t0") and key[1] == segments)
-    moments = next(held, None)
-    if moments is None:
-        n, _ = _segments(trace, segments)
-        h = n // 2 + 1
-
-        def periodograms(b, space):
-            pair = trace.samples[2 * b * n:min(2 * b + 2, segments) * n]
-            f, p = (a[:pair.size // n] for a in space)
-            _in_place(np.fft.rfft, pair.reshape(-1, n), f)
-            np.abs(f, out=p[:, 0])
-            np.square(p, out=p)
-            p *= trace.dt / n
-            return p
-
-        moments = _Moments()
-        _on_threads(periodograms, (segments + 1) // 2, _thread_count(None),
-                    lambda p: [moments.add(rows) for rows in p],
-                    lambda: (np.empty((2, h), dtype=complex),
-                             np.empty((2, 1, h))))
-    return moments
+    return _segment_moments(
+        trace, segments, segment_rows, _thread_count(workers), key=key,
+        workspace=lambda: (np.empty(n, dtype=complex),
+                           np.empty(n, dtype=complex)))
 
 
 _T0_THETAS = 4  # theta entries of a trace's t0 memo; the oldest goes first
@@ -548,32 +538,30 @@ _T0_THETAS = 4  # theta entries of a trace's t0 memo; the oldest goes first
 def _t0_moments(trace: TimeTrace, segments: int, f: FilterSpec,
                 phase_correction: Optional[PhaseSeries]) -> _Moments:
     """Moments of the (P0, T) rows over the segments of a trace, on the
-    non-negative bins: P0 = dt/N |rfft i|^2 and T = dt/N
-    Re[conj(rfft(s i)) rfft(i)], s = f at eps = -1. The module docstring
-    gives the memo."""
-    n, views = _segments(trace, segments)
-    memo = trace._bases
-    key = ("t0", segments, _series_key(phase_correction), f.phase_offset)
-    if key in memo:
-        return memo[key]
+    non-negative bins, s = f at eps = -1; see the module docstring."""
+    n, memo = _segments(trace, segments), trace._bases
     if ("rfft", segments) not in memo:
-        memo["rfft", segments] = tuple(np.fft.rfft(s) for _, s in views)
-        for f_i in memo["rfft", segments]:
-            f_i.flags.writeable = False
+        memo["rfft", segments] = np.fft.rfft(
+            trace.samples[:segments * n].reshape(segments, n))
+        memo["rfft", segments].flags.writeable = False
+    spectra = memo["rfft", segments]
     t, scale = np.arange(n) * trace.dt, trace.dt / n
-    square, moments = replace(f, epsilon=-1.0), _Moments()
-    rows = np.empty((2, n // 2 + 1))
-    for (t_off, seg), f_i in zip(views, memo["rfft", segments]):
+    square = replace(f, epsilon=-1.0)
+
+    def t0_rows(s, t_off, seg, rows):
         w = eval_filter(square, t + t_off)
         w *= seg
         z = np.fft.rfft(w)
         np.conj(z, out=z)
-        z *= f_i
-        np.square(np.abs(f_i, out=rows[0]), out=rows[0])
+        z *= spectra[s]
+        np.square(np.abs(spectra[s], out=rows[0]), out=rows[0])
         rows[0] *= scale
         np.multiply(z.real, scale, out=rows[1])
-        moments.add(rows)
-    memo[key] = moments
+        return rows[None]
+
+    moments = _segment_moments(
+        trace, segments, t0_rows, workspace=lambda: np.empty((2, n // 2 + 1)),
+        key=("t0", segments, _series_key(phase_correction), f.phase_offset))
     for old in [k for k in memo if k[0] == "t0"][:-_T0_THETAS]:
         del memo[old]
     return moments
@@ -582,18 +570,29 @@ def _t0_moments(trace: TimeTrace, segments: int, f: FilterSpec,
 def standard_psd(trace: TimeTrace, segments: int = 1) -> Spectrum:
     """Plain Welch PSD with a boxcar window, two-sided, segment-averaged:
     S = mean_s dt/N |FFT i_s|^2. Variance is the across-segment sample
-    variance of the mean (ddof=1, divided by the segment count). A stream
-    basis or t0 entry the trace already holds for the same segments gives
-    it, weight 1 on its P0 row (the same periodogram, bit for bit) and 0 on
-    the others; otherwise each segment takes one rfft.
+    variance of the mean (ddof=1, divided by the segment count). It is the
+    P0 row (the same periodogram, bit for bit) of a stream basis or t0
+    entry the trace holds for the same segments, if any.
     """
-    n_seg, _ = _segments(trace, segments)
-    moments = _p0_moments(trace, segments)
-    values, variance = _two_sided(moments, np.eye(1, len(moments.mean)), n_seg)
-    return Spectrum(freqs=_spectrum_grid(n_seg, trace.dt), values=values,
-                    variance=variance,
-                    meta={"kind": "welch", "segments": segments,
-                          "window": "boxcar", "n_fft": n_seg, "dt": trace.dt})
+    n = _segments(trace, segments)
+    moments = next((m for key, m in trace._bases.items()
+                    if key[0] in ("basis", "t0") and key[1] == segments), None)
+    if moments is None:
+        def periodograms(s, start, pair, space):
+            f, p = (a[:pair.size // n] for a in space)
+            _in_place(np.fft.rfft, pair.reshape(-1, n), f)
+            np.abs(f, out=p[:, 0])
+            np.square(p, out=p)
+            p *= trace.dt / n
+            return p
+
+        moments = _segment_moments(
+            trace, segments, periodograms, _thread_count(None), span=2,
+            workspace=lambda: (np.empty((2, n // 2 + 1), dtype=complex),
+                               np.empty((2, 1, n // 2 + 1))))
+    return _spectrum(moments, np.eye(1, len(moments.mean)), n, trace.dt,
+                     {"kind": "welch", "segments": segments,
+                      "window": "boxcar"})
 
 
 def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
@@ -618,33 +617,30 @@ def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
     fspec = FilterSpec(epsilon=epsilon, omega_beat=trace.omega_beat,
                        phase_offset=2.0 * theta,
                        dynamic_offset=_drift_offset(trace, phase_correction))
-    n_fft, views = _segments(trace, segments)
-    dt = trace.dt
+    n_fft = _segments(trace, segments)
+    meta = {"kind": "rhet", "variant": variant, "epsilon": float(epsilon),
+            "theta": float(theta), "segments": segments, "window": window,
+            "max_lag": max_lag, "corrected": phase_correction is not None,
+            "omega_beat": trace.omega_beat}
     if max_lag is not None or window != "rect":
-        moments = _Moments()
-        for t_off, seg in views:
+        def lag_rows(s, t_off, seg, space):
             ac = filtered_autocorr(replace(trace, samples=seg), fspec,
                                    max_lag=max_lag, variant=variant,
                                    t_offset=t_off)
-            moments.add(psd_from_autocorr(ac, window, max_lag).values[None])
-        values, variance = moments.mean[0], moments.variance((1.0,))
+            psd = psd_from_autocorr(ac, window, max_lag).values
+            return psd[n_fft // 2::-1][None, None]  # its non-negative bins
+
+        moments, a = _segment_moments(trace, segments, lag_rows), np.eye(1)
     elif epsilon == 1.0:
         welch = standard_psd(trace, segments)
-        values, variance = welch.values, welch.variance
-    else:
-        if variant == "tbar":
-            moments = _stream_basis(trace, segments, variant, phase_correction)
-            a = _quadrature_weights(epsilon, [theta])
-        else:  # the literal filter F = a + b s on the rows (P0, T)
-            moments = _t0_moments(trace, segments, fspec, phase_correction)
-            a = 0.5 * np.array([[1.0 + fspec.epsilon, 1.0 - fspec.epsilon]])
-        values, variance = _two_sided(moments, a, n_fft)
-    return Spectrum(
-        freqs=_spectrum_grid(n_fft, dt), values=values, variance=variance,
-        meta={"kind": "rhet", "variant": variant, "epsilon": float(epsilon),
-              "theta": float(theta), "segments": segments, "window": window,
-              "max_lag": max_lag, "corrected": phase_correction is not None,
-              "omega_beat": trace.omega_beat, "n_fft": n_fft, "dt": dt})
+        return replace(welch, meta={**welch.meta, **meta})
+    elif variant == "tbar":
+        moments = _stream_basis(trace, segments, variant, phase_correction)
+        a = _quadrature_weights(epsilon, [theta])
+    else:  # the literal filter F = a + b s on the rows (P0, T)
+        moments = _t0_moments(trace, segments, fspec, phase_correction)
+        a = 0.5 * np.array([[1.0 + fspec.epsilon, 1.0 - fspec.epsilon]])
+    return _spectrum(moments, a, n_fft, trace.dt, meta)
 
 
 def complex_corr_spectrum(trace: TimeTrace, segments: int = 1) -> Spectrum:
@@ -660,18 +656,18 @@ def complex_corr_spectrum(trace: TimeTrace, segments: int = 1) -> Spectrum:
     is the total (real plus imaginary) across-segment variance of the mean.
     """
     om = trace.omega_beat
-    n_seg, views = _segments(trace, segments)
+    n_seg = _segments(trace, segments)
     local = _cis((-om) * (np.arange(n_seg) * trace.dt))
-    moments = _Moments()
-    for t_off, seg in views:
+
+    def cross_rows(s, t_off, seg, space):
         v = local * _cis((-om) * t_off)
         v *= seg
         c = _pair(np.multiply, _in_place(np.fft.fft, v), n_seg)
         np.conj(c, out=c)
         c *= trace.dt / n_seg
-        moments.add(np.stack((c.real, c.imag)))
-    values, variance = _two_sided(moments, np.array([[1.0, 1j]]), n_seg)
-    return Spectrum(freqs=_spectrum_grid(n_seg, trace.dt), values=values,
-                    variance=variance,
-                    meta={"kind": "complex_corr", "segments": segments,
-                          "omega_beat": om, "n_fft": n_seg, "dt": trace.dt})
+        return np.stack((c.real, c.imag))[None]
+
+    moments = _segment_moments(trace, segments, cross_rows)
+    return _spectrum(moments, np.array([[1.0, 1j]]), n_seg, trace.dt,
+                     {"kind": "complex_corr", "segments": segments,
+                      "omega_beat": om})

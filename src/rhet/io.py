@@ -31,6 +31,7 @@ import json
 import os
 import struct
 import tempfile
+import tokenize
 import zipfile
 
 import numpy as np
@@ -350,12 +351,12 @@ def write_spectrum(path, spec: Spectrum) -> None:
 
 
 @contextlib.contextmanager
-def _malformed(path, what: str):
-    """Raise a TypeError, ValueError, KeyError or BadZipFile of the block
-    as TraceFormatError."""
+def _malformed(path, what: str, *also):
+    """Raise a TypeError, ValueError, KeyError or BadZipFile of the block,
+    or an exception of a type in `also`, as TraceFormatError."""
     try:
         yield
-    except (TypeError, ValueError, KeyError, zipfile.BadZipFile) as e:
+    except (TypeError, ValueError, KeyError, zipfile.BadZipFile, *also) as e:
         raise TraceFormatError(f"{path}: malformed {what} ({e})") from e
 
 
@@ -446,8 +447,11 @@ def read_map(path) -> ThetaMap:
     with open(path, "rb") as fh:
         if fh.read(2) == b"PK":  # zip container: npz
             fh.seek(0)
-            # np.load(path) would leak its own handle on a non-zip file
-            with _malformed(path, "map"), np.load(fh, allow_pickle=False) as z:
+            # np.load(path) would leak its own handle on a non-zip file;
+            # zipfile and np.load raise these too on a corrupt archive
+            with _malformed(path, "map", OSError, EOFError, RuntimeError,
+                            NotImplementedError, tokenize.TokenError), \
+                    np.load(fh, allow_pickle=False) as z:
                 return ThetaMap(
                     thetas=z["thetas"], freqs=z["freqs_hz"] * TWO_PI,
                     spectra=z["spectra"],

@@ -5,14 +5,13 @@ memoised stream basis (see rhet.estimator):
 
     S(theta, w) = c0 * P0(w) + c1 * Re[e^{-i 2 theta} G(w)]
 
-The fast path builds the basis on `workers` threads (None: every usable
-CPU) and fills its rows in blocks on as many, one item per thread at a
-time, elementwise in a fixed order: any count gives the same bits. The
-exact path builds it (tbar, or eps = +1) on every usable CPU, then calls
-rhet_spectrum per theta; in tbar that reads the basis, so the map equals
-the fast map to the bit. A t0 exact map samples the true square wave while
-the fast path keeps the fundamental only, a couple percent on band-limited
-spectra.
+The estimator's segment driver builds the basis on `workers` threads
+(None: every usable CPU); the fast path then fills its rows in blocks on
+as many, elementwise in a fixed order: any count gives the same bits. The
+exact path calls rhet_spectrum per theta, which in tbar (or eps = +1)
+reads the basis, so the map equals the fast map to the bit. A t0 exact
+map samples the true square wave while the fast path keeps the
+fundamental only, a couple percent on band-limited spectra.
 """
 from __future__ import annotations
 
@@ -47,7 +46,7 @@ def _band_mask(freqs: np.ndarray, band) -> np.ndarray:
 
 def _map_grid(trace: TimeTrace, segments: int, band):
     """Segment length, in-band frequencies and band mask of a map."""
-    n_seg, _ = _segments(trace, segments)
+    n_seg = _segments(trace, segments)
     freqs = _spectrum_grid(n_seg, trace.dt)
     mask = _band_mask(freqs, band)
     return n_seg, freqs[mask], mask

@@ -792,3 +792,69 @@ def test_on_threads_gives_each_item_in_flight_its_own_space(workers):
         _on_threads(body, count, workers, consume, workspace)
         assert consumed == list(range(count)) and not held
         assert len(spaces) == min(workers, count)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("span", [1, 2])
+def test_segment_driver_adds_out_of_order_items_in_segment_order(workers,
+                                                                 span):
+    # items sleep at random, so helpers finish out of order; the driver
+    # still adds every segment's rows in segment order, the bits of a
+    # serial _Moments pass, and slices each item's start and samples itself
+    import random
+    import time
+    from rhet.estimator import _Moments, _segment_moments
+    rng, pause = np.random.default_rng(span), random.Random(workers)
+    for segments in (1, 3, 5, 7):
+        trace = TimeTrace(samples=rng.standard_normal(segments * 64 + 5),
+                          dt=1e-3, omega_beat=OMEGA)
+        n = trace.n // segments  # the trailing samples are dropped
+        per_segment = rng.standard_normal((segments, 3, 33))
+        seen = []
+
+        def rows(s, start, samples, space):
+            time.sleep(pause.random() * 2e-3)
+            m = min(span, segments - s)
+            assert start == s * n * trace.dt
+            assert samples.tobytes() == \
+                trace.samples[s * n:(s + m) * n].tobytes()
+            seen.append(s)
+            return per_segment[s:s + m]
+
+        got = _segment_moments(trace, segments, rows, workers, span,
+                               key=("fake", segments))
+        want = _Moments()
+        for r in per_segment:
+            want.add(r)
+        assert sorted(seen) == list(range(0, segments, span))
+        assert got.count == segments
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.m2.tobytes() == want.m2.tobytes()
+        # a held key returns its entry without running the body
+        seen.clear()
+        again = _segment_moments(trace, segments, rows, workers, span,
+                                 key=("fake", segments))
+        assert again is got and not seen
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_calling_thread_routes_and_welch_ignore_the_cpu_count(short_trace,
+                                                              monkeypatch,
+                                                              cpus):
+    # Welch's fallback, cross, a t0 spectrum and a lag-window spectrum, on
+    # fresh traces at 1 and at `cpus` usable CPUs: the same bits
+    trace = TimeTrace(samples=short_trace.samples[:5 * 8192].copy(),
+                      dt=short_trace.dt, omega_beat=short_trace.omega_beat)
+
+    def outputs(count):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)), raising=False)
+        return [(s.values.tobytes(), s.variance.tobytes()) for s in (
+            standard_psd(_fresh(trace), segments=5),
+            complex_corr_spectrum(_fresh(trace), segments=5),
+            rhet_spectrum(_fresh(trace), -0.3, 0.7, variant="t0",
+                          segments=5),
+            rhet_spectrum(_fresh(trace), -0.3, 0.7, segments=5,
+                          window="hann", max_lag=2e-4))]
+
+    assert outputs(cpus) == outputs(1)

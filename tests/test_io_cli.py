@@ -383,6 +383,71 @@ def test_map_reader_rejects_foreign_files(tmp_path):
     assert np.array_equal(m.spectra, [[1.0, np.nan]], equal_nan=True)
 
 
+def test_npz_map_reader_names_the_file_of_a_bad_npy_header(tmp_path):
+    # a zip with valid CRCs around an .npy header numpy cannot tokenize
+    import zipfile
+    p = tmp_path / "header.npz"
+    with zipfile.ZipFile(p, "w") as z:
+        z.writestr("thetas.npy", b"\x93NUMPY\x01\x00\x16\x00"
+                   b"{'shape': ((3,), }   \n")
+    with pytest.raises(TraceFormatError, match=f"{p}: malformed map"):
+        read_map(p)
+
+
+@pytest.fixture(scope="module")
+def reader_files(tmp_path_factory):
+    """One small file per reader: a trace, a spectrum, a CSV and an npz
+    map."""
+    d = tmp_path_factory.mktemp("readers")
+    m = ThetaMap(thetas=np.linspace(0.0, np.pi, 3, endpoint=False),
+                 freqs=TWO_PI * np.linspace(1e3, 2e3, 4),
+                 spectra=np.arange(12.0).reshape(3, 4) - 5.5,
+                 normalization=1.5, meta={"variant": "t0", "path": "fast"})
+    write_trace(d / "t.rht", TimeTrace(samples=np.linspace(-1.0, 1.0, 32),
+                                       dt=1e-6, omega_beat=1e4))
+    write_spectrum(d / "s.csv", _toy_spectrum(complex_vals=True,
+                                              variance=True))
+    write_map(d / "m.csv", m)
+    write_map(d / "m.npz", m, fmt="npz")
+    return {"trace": (d / "t.rht", read_trace),
+            "spectrum": (d / "s.csv", read_spectrum),
+            "map csv": (d / "m.csv", read_map),
+            "map npz": (d / "m.npz", read_map)}
+
+
+_EDIT = st.tuples(st.sampled_from(["flip", "delete", "insert", "truncate"]),
+                  st.floats(0.0, 1.0, exclude_max=True),
+                  st.integers(1, 255))
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["trace", "spectrum", "map csv", "map npz"]),
+       edits=st.lists(_EDIT, min_size=1, max_size=3))
+def test_readers_turn_any_corruption_into_a_trace_format_error(
+        reader_files, kind, edits):
+    # byte flips, deletions, inserts and truncations: each reader either
+    # reads the file or raises TraceFormatError, nothing else
+    path, reader = reader_files[kind]
+    raw = bytearray(path.read_bytes())
+    for op, where, byte in edits:
+        i = int(where * len(raw))
+        if op == "insert":
+            raw.insert(i, byte)
+        elif op == "truncate":
+            del raw[i:]
+        elif raw and op == "flip":
+            raw[i] ^= byte
+        elif raw:
+            del raw[i]
+    bad = path.with_name("fuzzed")
+    bad.write_bytes(bytes(raw))
+    try:
+        with np.errstate(all="ignore"):  # an edited number may overflow
+            reader(bad)
+    except TraceFormatError:
+        pass
+
+
 def test_npz_map_has_np_savez_bytes_without_copying_the_table(tmp_path):
     # C-, Fortran- and non-contiguous tables; the writer streams each entry
     # from the array's memory, so a 10.8 MB table allocates next to nothing
@@ -574,6 +639,9 @@ def test_cli_rejects_segment_counts_below_one(cli_ws, capsys, cmd, segments):
     # counts past any array size, which np.arange would refuse unnamed
     (["analytic", "--fmax", "1e300"], "does not fit in memory"),
     (["analytic", "--bins-per-gamma", "1e300"], "does not fit in memory"),
+    # a grid of 1e15 bins or more prints its count in %.3g, not 300 digits
+    (["analytic", "--fmax", "1e300"],
+     "an analytic grid of 8.77e+297 bins does not fit in memory"),
 ])
 def test_cli_rejects_bad_filter_parameters(cli_ws, capsys, argv, message):
     out = cli_ws / "bad_filter.csv"
