@@ -242,8 +242,7 @@ def _cmd_compare(args) -> int:
                              min_pearson=args.min_pearson)
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if args.report:
-        _atomic_write(args.report, lambda fh: fh.write(text + "\n"),
-                      binary=False)
+        _atomic_write(args.report, lambda fh: fh.write(text.encode() + b"\n"))
     print(text)
     return 0 if report["pass"] else 1
 

@@ -216,6 +216,9 @@ class Spectrum:
             raise ValueError("freqs and values must be 1-d arrays of equal length")
         if self.freqs.size >= 2 and not np.all(np.diff(self.freqs) > 0):
             raise ValueError("freqs must be strictly ascending")
+        # strictly ascending, so finite ends make every bin finite
+        if self.freqs.size and not np.isfinite(self.freqs[[0, -1]]).all():
+            raise ValueError("freqs must be finite")
         if self.variance is not None:
             self.variance = np.asarray(self.variance, dtype=np.float64)
             if self.variance.shape != self.freqs.shape:
@@ -242,6 +245,8 @@ class ThetaMap:
         self.spectra = np.asarray(self.spectra, dtype=np.float64)
         if self.spectra.shape != (self.thetas.size, self.freqs.size):
             raise ValueError("spectra must have shape (n_theta, n_freq)")
+        if not np.isfinite(self.freqs).all():
+            raise ValueError("freqs must be finite")
         if not 0 < self.normalization < np.inf:
             raise ValueError("normalization must be positive and finite")
 

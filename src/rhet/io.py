@@ -11,17 +11,16 @@ missing key, and a number that is a bool or that float() refuses, raise a
 ConfigError naming the key: a typo must fail loudly, not silently default.
 Frequencies in Hz, masses in ng in the file; rad/s and kg in memory.
 
-Spectra and maps: CSV with '#' metadata comments, each number with the
-bytes of '%.17g' % x, so every written double parses back to the same
-double. numpy formats the rows a block at a time; '%.17g' itself writes
-NaN, +-inf, +-0, |x| outside about 1e-280..1e290 and near-ties. The
-frequency column is in Hz; the in-memory unit is rad/s, so a round trip
-preserves values bit-for-bit and frequencies to the unit conversion's
-rounding (one ulp).
-Maps can also be written as .npz when the full grid would make CSV
-impractically large.
+Spectra and maps: CSV with '#' metadata comments. One formatter,
+_format_rows, writes every number but a map's '# normalization' line,
+with the bytes of '%.17g' % x: every double parses back to itself.
+Frequencies are in Hz in the file and rad/s in memory, so a round trip
+preserves values bit-for-bit and frequencies to one ulp. Maps can also be
+written as .npz when the full grid would make CSV impractically large.
 
-All writers are atomic: temp file in the target directory, then rename.
+Every file is written as bytes, atomically (a temp file in the target
+directory, then a rename); text is UTF-8 with LF line ends on any
+platform.
 """
 from __future__ import annotations
 
@@ -46,12 +45,12 @@ CONFIG_SCHEMA_VERSION = 1
 _HEADER = struct.Struct("<4sIdddQ32x")
 
 
-def _atomic_write(path, payload_writer, binary=True):
+def _atomic_write(path, payload_writer):
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".rhet-tmp-")
     try:
-        with os.fdopen(fd, "wb" if binary else "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             payload_writer(fh)
             fh.flush()
             os.fsync(fh.fileno())
@@ -71,7 +70,7 @@ def write_trace(path, trace: TimeTrace) -> None:
 
     def _write(fh):
         fh.write(header)
-        fh.write(data.tobytes())
+        fh.write(data)
 
     _atomic_write(path, _write)
 
@@ -181,7 +180,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def read_config(path) -> ExperimentConfig:
     try:
-        with open(path, "r") as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except ValueError as e:  # a JSONDecodeError, or an int of 4301 digits
         raise ConfigError(f"{path}: invalid JSON ({e})") from e
@@ -190,7 +189,7 @@ def read_config(path) -> ExperimentConfig:
 
 def write_config(path, cfg: ExperimentConfig) -> None:
     text = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
-    _atomic_write(path, lambda fh: fh.write(text), binary=False)
+    _atomic_write(path, lambda fh: fh.write(text.encode()))
 
 
 # ---------------------------------------------------------------- spectra
@@ -293,24 +292,32 @@ def _format_rows(block: np.ndarray) -> bytes:
 
 
 def _write_rows(fh, *columns) -> None:
-    """Write the rows of columns (1-D, or 2-D with as many rows) as CSV
-    lines, stacked about _BLOCK_VALUES values at a time: the table is never
-    copied whole. Each number has the bytes of '%.17g' % x, from numpy and
-    a double-double product within 1e-14 of the exact 17-digit scaling;
-    '%.17g' itself writes what that cannot decide: NaN, +-inf, +-0, |x|
-    outside about 1e-280..1e290 (subnormals too), and near-ties."""
+    """Write the rows of columns (1-D, or 2-D with as many rows) to binary
+    fh as CSV lines, about _BLOCK_VALUES values at a time: the table is
+    never copied whole. Each number has the bytes of '%.17g' % x, from
+    numpy and a double-double product within 1e-14 of the exact 17-digit
+    scaling; '%.17g' itself writes what that cannot decide: NaN, +-inf,
+    +-0, |x| outside about 1e-280..1e290 (subnormals too), and near-ties."""
     width = sum(1 if np.ndim(c) == 1 else np.shape(c)[1] for c in columns)
     step = max(1, _BLOCK_VALUES // width)
     for a in range(0, len(columns[0]), step):
         block = np.column_stack([c[a:a + step] for c in columns])
-        fh.write(_format_rows(block).decode())
+        fh.write(_format_rows(block))
 
 
-def _meta_lines(meta: dict):
-    for key in sorted(meta):
-        val = meta[key]
-        if val is None or isinstance(val, (bool, int, float, str)):
-            yield f"# {key} = {val!r}\n"
+def _write_csv(path, head: str, meta: dict, header: bytes, *columns) -> None:
+    """Write a CSV table file: head and a '# key = value' line for each
+    plain value of meta as UTF-8, the header line, then the rows of
+    columns through _write_rows."""
+    text = head + "".join(
+        f"# {key} = {val!r}\n" for key, val in sorted(meta.items())
+        if val is None or isinstance(val, (bool, int, float, str)))
+
+    def _write(fh):
+        fh.write(text.encode() + header)
+        _write_rows(fh, *columns)
+
+    _atomic_write(path, _write)
 
 
 def _parse_meta_value(text: str):
@@ -328,34 +335,24 @@ def _parse_meta_value(text: str):
 
 
 def write_spectrum(path, spec: Spectrum) -> None:
-    complex_vals = np.iscomplexobj(spec.values)
-    has_err = spec.variance is not None
-
-    def _write(fh):
-        fh.write("# rhet spectrum v1\n")
-        for line in _meta_lines(spec.meta):
-            fh.write(line)
-        cols = ["freq_hz"]
-        cols += ["re", "im"] if complex_vals else ["value"]
-        if has_err:
-            cols.append("stderr")
-        fh.write(",".join(cols) + "\n")
-        table = [spec.freqs / TWO_PI]
-        table += ([spec.values.real, spec.values.imag] if complex_vals
-                  else [spec.values])
-        if has_err:
-            table.append(np.sqrt(spec.variance))
-        _write_rows(fh, *table)
-
-    _atomic_write(path, _write, binary=False)
+    v = spec.values
+    columns = {"freq_hz": spec.freqs / TWO_PI,
+               **({"re": v.real, "im": v.imag} if np.iscomplexobj(v)
+                  else {"value": v})}
+    if spec.variance is not None:
+        columns["stderr"] = np.sqrt(spec.variance)
+    _write_csv(path, "# rhet spectrum v1\n", spec.meta,
+               ",".join(columns).encode() + b"\n", *columns.values())
 
 
 @contextlib.contextmanager
 def _malformed(path, what: str, *also):
     """Raise a TypeError, ValueError, KeyError or BadZipFile of the block,
-    or an exception of a type in `also`, as TraceFormatError."""
+    or an exception of a type in `also`, as TraceFormatError. A float
+    overflow in the block is inf, without a RuntimeWarning."""
     try:
-        yield
+        with np.errstate(over="ignore"):
+            yield
     except (TypeError, ValueError, KeyError, zipfile.BadZipFile, *also) as e:
         raise TraceFormatError(f"{path}: malformed {what} ({e})") from e
 
@@ -365,7 +362,7 @@ def _read_table(path, magic: str, what: str):
     with `magic`. '# key = value' lines anywhere are metadata, other '#'
     lines comments; the first remaining line is the header, every later
     one a row of as many fields."""
-    with _malformed(path, what), open(path, "r") as fh:
+    with _malformed(path, what), open(path, encoding="utf-8") as fh:
         if not fh.readline().startswith(magic):
             raise TraceFormatError(f"{path}: not a {what} file")
         lines = [line.strip() for line in fh.read().splitlines()]
@@ -432,15 +429,10 @@ def write_map(path, m: ThetaMap, fmt: str = "csv") -> None:
     if fmt != "csv":
         raise ValueError("fmt must be 'csv' or 'npz'")
 
-    def _write(fh):
-        fh.write("# rhet theta map v1\n")
-        fh.write(f"# normalization = {_fmt(m.normalization)}\n")
-        for line in _meta_lines(m.meta):
-            fh.write(line)
-        fh.write("theta_rad," + ",".join(_fmt(f / TWO_PI) for f in m.freqs) + "\n")
-        _write_rows(fh, m.thetas, m.spectra)
-
-    _atomic_write(path, _write, binary=False)
+    head = f"# rhet theta map v1\n# normalization = {_fmt(m.normalization)}\n"
+    # the frequencies are a row of _format_rows; a row of no fields is b""
+    freqs = _format_rows(m.freqs[None] / TWO_PI) or b"\n"
+    _write_csv(path, head, m.meta, b"theta_rad," + freqs, m.thetas, m.spectra)
 
 
 def read_map(path) -> ThetaMap:

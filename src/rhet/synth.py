@@ -130,7 +130,7 @@ def synth_gaussian_trace(cfg: ExperimentConfig, duration: float, dt: float,
         warnings.warn(w, stacklevel=2)
     if not 0 < duration < np.inf:
         raise ValueError("duration must be positive and finite")
-    with _fits(f"a trace of {duration / dt:.0f} samples", duration / dt):
+    with _fits("a trace of {} samples", duration / dt):
         n = int(round(duration / dt))
         if n < 16:
             raise ValueError("duration too short")

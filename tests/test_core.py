@@ -174,6 +174,19 @@ def test_theta_map_contracts():
                  spectra=np.zeros((3, 4)), normalization=np.inf)
 
 
+def test_spectrum_and_theta_map_reject_non_finite_frequencies():
+    Spectrum(freqs=np.empty(0), values=np.empty(0))
+    for f in ([np.nan], [np.inf], [-np.inf, 0.0], [0.0, np.inf],
+              [-np.inf, 0.0, np.inf]):
+        with pytest.raises(ValueError, match="freqs must be finite"):
+            Spectrum(freqs=f, values=np.zeros(len(f)))
+        with pytest.raises(ValueError, match="freqs must be finite"):
+            ThetaMap(thetas=[0.0], freqs=f, spectra=np.zeros((1, len(f))))
+    with pytest.raises(ValueError, match="freqs must be finite"):
+        ThetaMap(thetas=[0.0], freqs=[2.0, np.nan, 1.0],
+                 spectra=np.zeros((1, 3)))
+
+
 _finite = dict(allow_nan=False, allow_infinity=False)
 
 
