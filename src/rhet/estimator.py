@@ -62,13 +62,13 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .analytic import filter_coefficients
-from .core import TWO_PI, FilterSpec, PhaseSeries, Spectrum, TimeTrace
+from .core import (TWO_PI, FilterSpec, PhaseSeries, Spectrum, TimeTrace,
+                   _spectrum_grid)
 
 _log = logging.getLogger(__name__)
 
@@ -254,16 +254,6 @@ def _lag_window(name: str, n_keep: int) -> np.ndarray:
     if name == "bartlett":
         return 1.0 - m / n_keep
     raise ValueError(f"unknown window {name!r}; choose rect, hann or bartlett")
-
-
-@lru_cache(maxsize=4)
-def _spectrum_grid(n_fft: int, dt: float) -> np.ndarray:
-    """Shifted two-sided angular-frequency grid, TWO_PI * fftshift(fftfreq)
-    to the bit; read-only and shared by every spectrum on it."""
-    grid = TWO_PI * (np.arange(-(n_fft // 2), n_fft - n_fft // 2)
-                     * (1.0 / (n_fft * dt)))
-    grid.flags.writeable = False
-    return grid
 
 
 def _mirror(row, n_fft: int) -> np.ndarray:

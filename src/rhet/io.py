@@ -374,7 +374,9 @@ def _read_table(path, magic: str, what: str):
     rows = [line for line in lines if line and not line.startswith("#")]
     if len(rows) < 2:
         raise TraceFormatError(f"{path}: no data rows")
-    header = rows[0].split(",")
+    # a header's trailing comma names no column: a map of no frequencies
+    # writes 'theta_rad,'
+    header = rows[0].removesuffix(",").split(",")
     if any(line.count(",") != len(header) - 1 for line in rows[1:]):
         raise TraceFormatError(f"{path}: ragged rows")
     # one conversion for every field; an empty field reads as NaN

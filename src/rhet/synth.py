@@ -20,10 +20,18 @@ memoised, 16N bytes (twice the trace) held until a synthesis with another key.
 DC and Nyquist bins are drawn uncorrelated (s_aa is negligible there); fftfreq
 puts the Nyquist bin at -pi/dt, so it takes P(-pi/dt). Everything is
 deterministic given the seed.
+
+A synthesis runs on every usable CPU, with the bytes of a serial draw on any
+number of them. The calling thread draws the field's four N-point normal
+blocks from the one RNG stream while a helper computes the factors on a
+memo miss; it then assembles the coefficients and runs the FFT. The
+beat-note phase and the modulation run blockwise on all threads. The
+calling thread allocates every N-point array; helpers allocate only blocks.
 """
 from __future__ import annotations
 
 import functools
+import threading
 import warnings
 
 import numpy as np
@@ -31,7 +39,7 @@ import numpy as np
 from .analytic import _model_rows
 from .core import (TWO_PI, ExperimentConfig, PhaseSeries, TimeTrace,
                    _fits, check_config)
-from .estimator import _in_place
+from .estimator import _in_place, _on_threads, _thread_count
 
 
 def phase_drift(t, theta0: float, amplitude: float, freq_hz: float) -> np.ndarray:
@@ -84,40 +92,92 @@ def modulate_current(x_quad, y_quad, omega_beat: float, theta,
                      theta_nominal=nominal)
 
 
+_BLOCK = 65536  # elements per block of a factor, draw or phase step
+
+
+class _Factors:
+    """The Cholesky factors (l11, l21, l22) of fftfreq bins 0..n//2, as
+    read-only arrays. The thread that makes the memo entry allocates them;
+    the first thread to call fill() computes them, and iterating calls it,
+    so it waits for a fill under way."""
+
+    def __init__(self, cfg: ExperimentConfig, n: int, dt: float):
+        h = n // 2 + 1
+        self.key = cfg, n, dt
+        self.arrays = np.empty(h), np.empty(h, dtype=complex), np.empty(h)
+        self.lock = threading.Lock()
+
+    def fill(self):
+        with self.lock:
+            if self.arrays[0].flags.writeable:  # not computed yet
+                self._compute()
+        return self.arrays
+
+    def _compute(self):
+        # 0.5: each part of a unit complex normal has variance 1/2. Bin k
+        # sits at 2 pi k / (n dt), fftfreq's bits without its n-point
+        # array; an even n's Nyquist bin at -pi/dt, and l11 alone draws it,
+        # as it does DC. Blocks of bins bound the model's temporaries
+        cfg, n, dt = self.key
+        l11, l21, l22 = self.arrays
+        scale, step = 0.5 / (n * dt), 1.0 / (n * dt)
+        for k in range(0, l11.size, _BLOCK):
+            s = slice(k, min(k + _BLOCK, l11.size))
+            bins = np.arange(s.start, s.stop)
+            if n % 2 == 0 and s.stop == l11.size:
+                bins[-1] = -bins[-1]
+            p1, p2, c = (r * scale for r in
+                         _model_rows(cfg, TWO_PI * (bins * step)))
+            np.sqrt(p1, out=l11[s])
+            safe = np.where(p1 > 0, p1, 1.0)
+            l21[s] = np.where(p1 > 0, np.conj(c) / np.sqrt(safe), 0.0)
+            l22sq = p2 - np.where(p1 > 0, np.abs(c) ** 2 / safe, 0.0)
+            # PSD-guaranteed analytically; clip the float dust
+            np.sqrt(np.maximum(l22sq, 0.0), out=l22[s])
+        for f in self.arrays:
+            f.flags.writeable = False
+
+    def __iter__(self):
+        return iter(self.fill())
+
+    def __getitem__(self, i):
+        return self.fill()[i]
+
+
 @functools.lru_cache(maxsize=1)
-def _bin_factors(cfg: ExperimentConfig, n: int, dt: float):
-    """Cholesky factors (l11, l21, l22) of fftfreq bins 0..n//2."""
-    # 0.5: each part of a unit complex normal has variance 1/2. An even n's
-    # Nyquist bin sits at -pi/dt; l11 alone draws it, as it does DC. Blocks
-    # of bins bound the model's temporaries.
-    scale = 0.5 / (n * dt)
-    nu = TWO_PI * np.fft.fftfreq(n, dt)[:n // 2 + 1]
-    p1, p2, c = (np.concatenate(rows) * scale for rows in zip(*(
-        _model_rows(cfg, nu[k:k + 65536]) for k in range(0, nu.size, 65536))))
-    l11 = np.sqrt(p1)
-    safe = np.where(p1 > 0, p1, 1.0)
-    l21 = np.where(p1 > 0, np.conj(c) / np.sqrt(safe), 0.0)
-    l22sq = p2 - np.where(p1 > 0, np.abs(c) ** 2 / safe, 0.0)
-    # PSD-guaranteed analytically; clip the float dust
-    l22 = np.sqrt(np.maximum(l22sq, 0.0))
-    l11.flags.writeable = l21.flags.writeable = l22.flags.writeable = False
-    return l11, l21, l22
+def _bin_factors(cfg: ExperimentConfig, n: int, dt: float) -> _Factors:
+    return _Factors(cfg, n, dt)
 
 
-def _draw_field(cfg: ExperimentConfig, n: int, dt: float,
-                rng: np.random.Generator) -> np.ndarray:
-    l11, l21, l22 = _bin_factors(cfg, n, dt)
-    pos, neg = slice(1, (n + 1) // 2), slice(n - 1, n // 2, -1)  # k, n - k
-    z = np.empty(n, dtype=complex)
-    z.real, z.imag = rng.standard_normal(n), rng.standard_normal(n)  # g1
-    g2 = rng.standard_normal(n)[pos] + 1j * rng.standard_normal(n)[pos]
-    np.multiply(l21[pos], z[pos], out=z[neg])
-    z[neg] += l22[pos] * g2
-    np.conjugate(z[neg], out=z[neg])
+def _draw_normals(rng: np.random.Generator, z: np.ndarray) -> None:
+    """The field's four n-point normal draws, in order and a block at a
+    time: g1 = draw 1 + i draw 2 into z, and g2 = draw 3 + i draw 4 on the
+    positive bins k into z[n - k], where _assemble reads it."""
+    n = z.size
+    g2 = z[n - 1:n // 2:-1]  # z[n - k] for k = 1 .. (n + 1) // 2 - 1
+    buf = np.empty(min(n, _BLOCK))
+    for out, first in ((z.real, 0), (z.imag, 0), (g2.real, 1), (g2.imag, 1)):
+        for k in range(0, n, _BLOCK):
+            b = buf[:min(_BLOCK, n - k)]
+            rng.standard_normal(out=b)  # the stream of one n-point draw
+            lo, hi = max(k, first), min(k + b.size, first + out.size)
+            if lo < hi:
+                out[lo - first:hi - first] = b[lo - k:hi - k]
+
+
+def _assemble(z: np.ndarray, l11, l21, l22) -> None:
+    """z[k] = l11 g1_k and z[n - k] = conj(l21 g1_k + l22 g2_k) over the
+    positive bins k, in blocks; l11 also scales DC and an even n's Nyquist
+    bin."""
+    n, h = z.size, (z.size + 1) // 2
+    tmp = np.empty(min(h, _BLOCK), dtype=complex)
+    for k in range(1, h, _BLOCK):
+        pos = slice(k, min(k + _BLOCK, h))
+        g = z[n - k:n - pos.stop:-1]
+        np.multiply(l22[pos], g, out=g)
+        g += np.multiply(l21[pos], z[pos], out=tmp[:g.size])
+        np.conjugate(g, out=g)
     z[:n // 2 + 1] *= l11
-    # a(t_j) = sum_k z_k e^{-i nu_k t_j}: the forward FFT implements the
-    # e^{-i} kernel on the fftfreq layout
-    return _in_place(np.fft.fft, z)
 
 
 def synth_gaussian_trace(cfg: ExperimentConfig, duration: float, dt: float,
@@ -130,6 +190,8 @@ def synth_gaussian_trace(cfg: ExperimentConfig, duration: float, dt: float,
         warnings.warn(w, stacklevel=2)
     if not 0 < duration < np.inf:
         raise ValueError("duration must be positive and finite")
+    d = cfg.drift
+    threads = _thread_count(None)
     with _fits("a trace of {} samples", duration / dt):
         n = int(round(duration / dt))
         if n < 16:
@@ -139,25 +201,54 @@ def synth_gaussian_trace(cfg: ExperimentConfig, duration: float, dt: float,
         if duration < 20.0 / min(m.gamma for m in cfg.modes):
             warnings.warn("trace shorter than 20 mechanical decay times",
                           stacklevel=2)
+        # every n-point array, the factors' included, is made here; a
+        # helper allocates only blocks
+        z, cur = np.empty(n, dtype=complex), np.empty(n)
+        factors = _bin_factors(cfg, n, dt)
         rng = np.random.default_rng(seed)
-        a = _draw_field(cfg, n, dt, rng)
-        ph = np.arange(n) * dt
-    d = cfg.drift
-    if d.amplitude == 0.0:
-        th = cfg.theta0
-    elif d.kind == "sine":
-        th = phase_drift(ph, cfg.theta0, d.amplitude, d.freq_hz)
-    else:  # walk
-        steps = rng.standard_normal(n) * (d.amplitude / np.sqrt(n))
-        steps[0] = 0.0
-        th = cfg.theta0 + np.cumsum(steps)
-    ph *= cfg.omega_beat
-    ph += th
-    cur = np.cos(ph)
-    pilot = pilot_amplitude * cur if pilot_amplitude != 0.0 else 0.0
-    cur *= 2.0 * a.real
-    cur += np.multiply(2.0 * a.imag, np.sin(ph, out=ph), out=ph)
-    cur += pilot
+        # the normals on the calling thread, the factors beside them
+        _on_threads(lambda i, _: _draw_normals(rng, z) if i == 0
+                    else factors.fill(), 2, threads)
+        _assemble(z, *factors)
+        # a(t_j) = sum_k z_k e^{-i nu_k t_j}: the forward FFT implements
+        # the e^{-i} kernel on the fftfreq layout. It takes about 2x z more
+        # memory while it runs, so cur is first written after it
+        _in_place(np.fft.fft, z)
+        if d.amplitude != 0.0 and d.kind == "walk":
+            # theta(t) into cur, from the draws after the field's
+            rng.standard_normal(out=cur)
+            cur *= d.amplitude / np.sqrt(n)
+            cur[0] = 0.0
+            np.cumsum(cur, out=cur)
+            cur += cfg.theta0
+
+    def modulate(i, space):
+        # over block i: the phase Om t + theta(t) into cur, then
+        # X cos + Y sin (+ the pilot's cos) with X, Y = 2 Re a, 2 Im a
+        s = slice(i * _BLOCK, (i + 1) * _BLOCK)
+        a, ph = z[s], cur[s]
+        c, sin = (w[:ph.size] for w in space)
+        t = np.multiply(np.arange(s.start, s.start + ph.size), dt, out=c)
+        if d.amplitude == 0.0:
+            th = cfg.theta0
+        elif d.kind == "sine":
+            th = phase_drift(t, cfg.theta0, d.amplitude, d.freq_hz)
+        else:  # walk: cur holds theta(t)
+            th = ph
+        t *= cfg.omega_beat
+        np.add(t, th, out=ph)
+        np.cos(ph, out=c)
+        np.sin(ph, out=sin)
+        np.multiply(a.view(float), 2.0, out=a.view(float))  # exact
+        pilot = (np.multiply(pilot_amplitude, c, out=ph)
+                 if pilot_amplitude != 0.0 else 0.0)
+        c *= a.real
+        c += np.multiply(a.imag, sin, out=sin)
+        np.add(c, pilot, out=ph)
+
+    _on_threads(modulate, -(-n // _BLOCK), threads,
+                workspace=lambda: (np.empty(min(n, _BLOCK)),
+                                   np.empty(min(n, _BLOCK))))
     return TimeTrace(samples=cur, dt=dt, omega_beat=cfg.omega_beat,
                      theta_nominal=cfg.theta0,
                      label=f"synth(seed={seed})")

@@ -159,6 +159,19 @@ def test_spectrum_contracts():
         Spectrum(freqs=f, values=np.zeros(3), variance=np.zeros(2))
 
 
+def test_spectrum_skips_the_order_check_only_for_its_own_grid():
+    # the memoised grid is known by identity, not by being read-only
+    from rhet.core import _spectrum_grid
+    grid = _spectrum_grid(16, 1e-3)
+    assert Spectrum(freqs=grid, values=np.zeros(16)).freqs is grid
+    for f in (grid[::-1], np.array([1.0, 3.0, 2.0]), np.array([1.0, 1.0])):
+        ro = f.copy()
+        ro.flags.writeable = False
+        for freqs in (f, ro):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                Spectrum(freqs=freqs, values=np.zeros(f.size))
+
+
 def test_theta_map_contracts():
     m = ThetaMap(thetas=np.arange(3.0), freqs=np.arange(4.0),
                  spectra=np.zeros((3, 4)))

@@ -417,6 +417,19 @@ def test_map_roundtrip(tmp_path, fmt):
     assert back.meta["path"] == "fast"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "npz"])
+def test_map_of_no_frequencies_roundtrips(tmp_path, fmt):
+    # the CSV header of such a map is 'theta_rad,' (its bytes are pinned in
+    # test_csv_map_header_is_fmt_of_each_frequency)
+    m = ThetaMap(thetas=[0.0, 0.5], freqs=np.empty(0),
+                 spectra=np.zeros((2, 0)))
+    p = tmp_path / f"m.{fmt}"
+    write_map(p, m, fmt=fmt)
+    back = read_map(p)
+    assert back.spectra.shape == (2, 0) and back.freqs.shape == (0,)
+    assert np.array_equal(back.thetas, m.thetas)
+
+
 def test_map_reader_rejects_foreign_files(tmp_path):
     head = "# rhet theta map v1\n# normalization = 2\n"
     for name, text, message in (

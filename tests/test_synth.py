@@ -1,6 +1,8 @@
 """Synthesizer: deterministic tones, modulation algebra, and statistical
 agreement of the Gaussian draw with the model it claims to sample."""
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,8 @@ from rhet import (PhaseDriftSpec, PhaseSeries, Spectrum, compare_spectra,
                   modulate_current, phase_drift, rhet_spectrum,
                   standard_psd, synth_gaussian_trace, theta_map_fast,
                   tone_field)
+import rhet.synth
+from rhet.analytic import _model_rows
 from rhet.core import TWO_PI, ConfigError
 from rhet.synth import _bin_factors
 
@@ -183,6 +187,114 @@ def test_synth_matches_per_bin_cholesky_oracle(thermal_cfg, n, drift, pilot):
                                pilot_amplitude=pilot).samples
     want = _oracle_current(cfg, n, dt, 21, pilot)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _serial_factors(cfg, n, dt):
+    """The factors as one thread made them before synthesis ran on threads,
+    from one fftfreq grid; with _serial_current, every step's bits are the
+    ones synthesis must keep."""
+    scale = 0.5 / (n * dt)
+    nu = TWO_PI * np.fft.fftfreq(n, dt)[:n // 2 + 1]
+    p1, p2, c = (np.concatenate(rows) * scale for rows in zip(*(
+        _model_rows(cfg, nu[k:k + 65536]) for k in range(0, nu.size, 65536))))
+    l11 = np.sqrt(p1)
+    safe = np.where(p1 > 0, p1, 1.0)
+    l21 = np.where(p1 > 0, np.conj(c) / np.sqrt(safe), 0.0)
+    l22 = np.sqrt(np.maximum(
+        p2 - np.where(p1 > 0, np.abs(c) ** 2 / safe, 0.0), 0.0))
+    return l11, l21, l22
+
+
+def _serial_current(cfg, n, dt, seed, pilot_amplitude, factors):
+    """The serial draw: four n-point normal draws and the n-point
+    modulation."""
+    l11, l21, l22 = factors
+    rng = np.random.default_rng(seed)
+    pos, neg = slice(1, (n + 1) // 2), slice(n - 1, n // 2, -1)
+    z = np.empty(n, dtype=complex)
+    z.real, z.imag = rng.standard_normal(n), rng.standard_normal(n)
+    g2 = rng.standard_normal(n)[pos] + 1j * rng.standard_normal(n)[pos]
+    np.multiply(l21[pos], z[pos], out=z[neg])
+    z[neg] += l22[pos] * g2
+    np.conjugate(z[neg], out=z[neg])
+    z[:n // 2 + 1] *= l11
+    a = np.fft.fft(z)
+    ph = np.arange(n) * dt
+    d = cfg.drift
+    if d.amplitude == 0.0:
+        th = cfg.theta0
+    elif d.kind == "sine":
+        th = phase_drift(ph, cfg.theta0, d.amplitude, d.freq_hz)
+    else:
+        steps = rng.standard_normal(n) * (d.amplitude / np.sqrt(n))
+        steps[0] = 0.0
+        th = cfg.theta0 + np.cumsum(steps)
+    ph *= cfg.omega_beat
+    ph += th
+    cur = np.cos(ph)
+    pilot = pilot_amplitude * cur if pilot_amplitude != 0.0 else 0.0
+    cur *= 2.0 * a.real
+    cur += np.multiply(2.0 * a.imag, np.sin(ph, out=ph), out=ph)
+    cur += pilot
+    return cur
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("drift", [PhaseDriftSpec(),
+                                   PhaseDriftSpec(0.785, 25.0, "sine"),
+                                   PhaseDriftSpec(0.4, kind="walk")],
+                         ids=["none", "sine", "walk"])
+@pytest.mark.parametrize("n", [4096, 4097, 270_000])
+def test_synth_bytes_equal_the_serial_draw(thermal_cfg, monkeypatch, n,
+                                           drift, threads):
+    # 270 000 samples make 135 001 bins: three factor blocks, the last one
+    # short, and five draw and modulation blocks; each seed and pilot runs
+    # on a cold memo and then on a warm one
+    monkeypatch.setattr(rhet.synth, "_thread_count", lambda workers: threads)
+    cfg = dataclasses.replace(thermal_cfg, drift=drift)
+    dt = 2e-7
+    factors = _serial_factors(cfg, n, dt)
+    for seed in (0, 1, 2):
+        for pilot in (0.0, 2500.0):
+            want = _serial_current(cfg, n, dt, seed, pilot, factors).tobytes()
+            _bin_factors.cache_clear()
+            for memo in ("cold", "warm"):
+                got = synth_gaussian_trace(cfg, n * dt, dt, seed=seed,
+                                           pilot_amplitude=pilot)
+                assert got.samples.tobytes() == want, (memo, seed, pilot)
+            assert _bin_factors.cache_info().hits == 1
+
+
+def test_synth_threads_under_stress_keep_the_serial_bytes(thermal_cfg,
+                                                         monkeypatch):
+    # more threads than cores and a short switch interval, and four callers
+    # at once on one cold memo entry: the fill lock lets one thread compute
+    # the factors, and every trace keeps the bytes of the serial draw
+    monkeypatch.setattr(rhet.synth, "_thread_count", lambda workers: 5)
+    cfg = dataclasses.replace(thermal_cfg,
+                              drift=PhaseDriftSpec(0.785, 25.0, "sine"))
+    n, dt = 270_000, 2e-7
+    factors = _serial_factors(cfg, n, dt)
+    want = {s: _serial_current(cfg, n, dt, s, 2500.0, factors).tobytes()
+            for s in range(4)}
+    got = {}
+    _bin_factors.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=lambda s=s: got.__setitem__(
+            s, synth_gaussian_trace(cfg, n * dt, dt, seed=s,
+                                    pilot_amplitude=2500.0).samples.tobytes()))
+            for s in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert _bin_factors.cache_info().currsize == 1
 
 
 def test_synth_factor_memo_contract(thermal_cfg):
