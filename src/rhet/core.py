@@ -9,7 +9,6 @@ and convert on the way in/out (see rhet.io).
 """
 from __future__ import annotations
 
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -197,19 +196,13 @@ class FilterSpec:
             raise ValueError("omega_beat must be positive and finite")
 
 
-_GRIDS = weakref.WeakValueDictionary()  # id -> a grid _spectrum_grid checked
-
-
 @lru_cache(maxsize=4)
 def _spectrum_grid(n_fft: int, dt: float) -> np.ndarray:
     """Shifted two-sided angular-frequency grid, TWO_PI * fftshift(fftfreq)
-    to the bit; read-only and shared by every spectrum on it, which skips
-    the ascending check the grid passed here."""
+    to the bit; read-only and shared by every spectrum on it."""
     grid = TWO_PI * (np.arange(-(n_fft // 2), n_fft - n_fft // 2)
                      * (1.0 / (n_fft * dt)))
     grid.flags.writeable = False
-    if np.all(np.diff(grid) > 0):
-        _GRIDS[id(grid)] = grid
     return grid
 
 
@@ -233,8 +226,7 @@ class Spectrum:
         if self.freqs.ndim != 1 or self.values.shape != self.freqs.shape:
             raise ValueError("freqs and values must be 1-d arrays of equal length")
         f = self.freqs
-        if (f.size >= 2 and _GRIDS.get(id(f)) is not f
-                and not np.all(np.diff(f) > 0)):
+        if not (f[1:] > f[:-1]).all():  # NaN compares false
             raise ValueError("freqs must be strictly ascending")
         # strictly ascending, so finite ends make every bin finite
         if self.freqs.size and not np.isfinite(self.freqs[[0, -1]]).all():

@@ -503,6 +503,8 @@ def compare_spectra(a: Spectrum, b: Spectrum, band=None,
     lo = max(a.freqs[0], b.freqs[0])
     hi = min(a.freqs[-1], b.freqs[-1])
     if band is not None:
+        if not band[0] < band[1]:  # NaN compares false
+            raise ValueError("band must be (lo, hi) with hi > lo")
         lo = max(lo, band[0])
         hi = min(hi, band[1])
     sel = (a.freqs >= lo) & (a.freqs <= hi)

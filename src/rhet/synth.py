@@ -17,6 +17,9 @@ guarantees the matrix is positive semidefinite (Cauchy-Schwarz), so the
 factorization cannot fail on valid configs. One model pass over bins 0..N//2
 gives P(+-nu_k) and s_aa(nu_k). The factors of the last (config, N, dt) stay
 memoised, 16N bytes (twice the trace) held until a synthesis with another key.
+A miss stores its factors whole, in one assignment after their fill, so no
+caller sees half-filled ones; concurrent cold callers each compute their own,
+and no lock is held.
 DC and Nyquist bins are drawn uncorrelated (s_aa is negligible there); fftfreq
 puts the Nyquist bin at -pi/dt, so it takes P(-pi/dt). Everything is
 deterministic given the seed.
@@ -24,14 +27,13 @@ deterministic given the seed.
 A synthesis runs on every usable CPU, with the bytes of a serial draw on any
 number of them. The calling thread draws the field's four N-point normal
 blocks from the one RNG stream while a helper computes the factors on a
-memo miss; it then assembles the coefficients and runs the FFT. The
-beat-note phase and the modulation run blockwise on all threads. The
-calling thread allocates every N-point array; helpers allocate only blocks.
+memo miss (a hit starts no helper); it then assembles the coefficients and
+runs the FFT. The beat-note phase and the modulation run blockwise on all
+threads. The calling thread allocates every N-point array; helpers
+allocate only blocks.
 """
 from __future__ import annotations
 
-import functools
-import threading
 import warnings
 
 import numpy as np
@@ -95,58 +97,33 @@ def modulate_current(x_quad, y_quad, omega_beat: float, theta,
 _BLOCK = 65536  # elements per block of a factor, draw or phase step
 
 
-class _Factors:
-    """The Cholesky factors (l11, l21, l22) of fftfreq bins 0..n//2, as
-    read-only arrays. The thread that makes the memo entry allocates them;
-    the first thread to call fill() computes them, and iterating calls it,
-    so it waits for a fill under way."""
+def _fill_factors(cfg: ExperimentConfig, n: int, dt: float, l11, l21, l22):
+    """The Cholesky factors of fftfreq bins 0..n//2 into the caller's arrays
+    l11, l21 and l22, a block of bins at a time; then they are read-only.
 
-    def __init__(self, cfg: ExperimentConfig, n: int, dt: float):
-        h = n // 2 + 1
-        self.key = cfg, n, dt
-        self.arrays = np.empty(h), np.empty(h, dtype=complex), np.empty(h)
-        self.lock = threading.Lock()
-
-    def fill(self):
-        with self.lock:
-            if self.arrays[0].flags.writeable:  # not computed yet
-                self._compute()
-        return self.arrays
-
-    def _compute(self):
-        # 0.5: each part of a unit complex normal has variance 1/2. Bin k
-        # sits at 2 pi k / (n dt), fftfreq's bits without its n-point
-        # array; an even n's Nyquist bin at -pi/dt, and l11 alone draws it,
-        # as it does DC. Blocks of bins bound the model's temporaries
-        cfg, n, dt = self.key
-        l11, l21, l22 = self.arrays
-        scale, step = 0.5 / (n * dt), 1.0 / (n * dt)
-        for k in range(0, l11.size, _BLOCK):
-            s = slice(k, min(k + _BLOCK, l11.size))
-            bins = np.arange(s.start, s.stop)
-            if n % 2 == 0 and s.stop == l11.size:
-                bins[-1] = -bins[-1]
-            p1, p2, c = (r * scale for r in
-                         _model_rows(cfg, TWO_PI * (bins * step)))
-            np.sqrt(p1, out=l11[s])
-            safe = np.where(p1 > 0, p1, 1.0)
-            l21[s] = np.where(p1 > 0, np.conj(c) / np.sqrt(safe), 0.0)
-            l22sq = p2 - np.where(p1 > 0, np.abs(c) ** 2 / safe, 0.0)
-            # PSD-guaranteed analytically; clip the float dust
-            np.sqrt(np.maximum(l22sq, 0.0), out=l22[s])
-        for f in self.arrays:
-            f.flags.writeable = False
-
-    def __iter__(self):
-        return iter(self.fill())
-
-    def __getitem__(self, i):
-        return self.fill()[i]
+    0.5: each part of a unit complex normal has variance 1/2. Bin k sits at
+    2 pi k / (n dt), fftfreq's bits without its n-point array; an even n's
+    Nyquist bin at -pi/dt, and l11 alone draws it, as it does DC. Blocks
+    bound the model's temporaries."""
+    scale, step = 0.5 / (n * dt), 1.0 / (n * dt)
+    for k in range(0, l11.size, _BLOCK):
+        s = slice(k, min(k + _BLOCK, l11.size))
+        bins = np.arange(s.start, s.stop)
+        if n % 2 == 0 and s.stop == l11.size:
+            bins[-1] = -bins[-1]
+        p1, p2, c = (r * scale for r in
+                     _model_rows(cfg, TWO_PI * (bins * step)))
+        np.sqrt(p1, out=l11[s])
+        safe = np.where(p1 > 0, p1, 1.0)
+        l21[s] = np.where(p1 > 0, np.conj(c) / np.sqrt(safe), 0.0)
+        l22sq = p2 - np.where(p1 > 0, np.abs(c) ** 2 / safe, 0.0)
+        # PSD-guaranteed analytically; clip the float dust
+        np.sqrt(np.maximum(l22sq, 0.0), out=l22[s])
+    for f in (l11, l21, l22):
+        f.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=1)
-def _bin_factors(cfg: ExperimentConfig, n: int, dt: float) -> _Factors:
-    return _Factors(cfg, n, dt)
+_memo = None, None  # the last synthesis's (cfg, n, dt) and factors
 
 
 def _draw_normals(rng: np.random.Generator, z: np.ndarray) -> None:
@@ -186,6 +163,9 @@ def synth_gaussian_trace(cfg: ExperimentConfig, duration: float, dt: float,
     modulation with the configured LO phase and drift, optional coherent
     pilot tone pilot_amplitude*cos(Om t + theta(t)) for lock-in tracking.
     """
+    global _memo
+    if not np.isfinite(pilot_amplitude):
+        raise ValueError("pilot amplitude must be finite")
     for w in check_config(cfg, dt=dt):
         warnings.warn(w, stacklevel=2)
     if not 0 < duration < np.inf:
@@ -204,11 +184,17 @@ def synth_gaussian_trace(cfg: ExperimentConfig, duration: float, dt: float,
         # every n-point array, the factors' included, is made here; a
         # helper allocates only blocks
         z, cur = np.empty(n, dtype=complex), np.empty(n)
-        factors = _bin_factors(cfg, n, dt)
         rng = np.random.default_rng(seed)
-        # the normals on the calling thread, the factors beside them
-        _on_threads(lambda i, _: _draw_normals(rng, z) if i == 0
-                    else factors.fill(), 2, threads)
+        key, factors = _memo
+        if key == (cfg, n, dt):
+            _draw_normals(rng, z)
+        else:
+            # the normals on the calling thread, the factors beside them
+            h = n // 2 + 1
+            factors = np.empty(h), np.empty(h, dtype=complex), np.empty(h)
+            _on_threads(lambda i, _: _draw_normals(rng, z) if i == 0
+                        else _fill_factors(cfg, n, dt, *factors), 2, threads)
+            _memo = (cfg, n, dt), factors
         _assemble(z, *factors)
         # a(t_j) = sum_k z_k e^{-i nu_k t_j}: the forward FFT implements
         # the e^{-i} kernel on the fftfreq layout. It takes about 2x z more

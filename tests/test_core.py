@@ -160,7 +160,7 @@ def test_spectrum_contracts():
 
 
 def test_spectrum_skips_the_order_check_only_for_its_own_grid():
-    # the memoised grid is known by identity, not by being read-only
+    # every grid is checked, the memoised one and a read-only one alike
     from rhet.core import _spectrum_grid
     grid = _spectrum_grid(16, 1e-3)
     assert Spectrum(freqs=grid, values=np.zeros(16)).freqs is grid

@@ -595,6 +595,10 @@ def test_compare_rejects_disjoint_grids():
         compare_spectra(a, b)
     with pytest.raises(GridError):
         compare_spectra(a, a, band=(TWO_PI * 2e6, TWO_PI * 3e6))
+    # a NaN or reversed band end is no band, not the whole overlap
+    for band in ((np.nan, np.nan), (0.0, np.nan), (TWO_PI * 2e3, -TWO_PI * 2e3)):
+        with pytest.raises(ValueError, match="band must be"):
+            compare_spectra(a, a, band=band)
 
 
 # -------------------------------------------------------------------- CLI
@@ -656,6 +660,12 @@ def test_cli_synth_usage_errors(cli_ws, tmp_path):
                "--out", str(tmp_path / "x.rht"), "--seed", "1",
                "--duration", "0.02"])
     assert rc == 2
+    for pilot in ("nan", "inf"):
+        rc = main(["synth", "--config", str(cli_ws / "config.json"),
+                   "--out", str(tmp_path / "p.rht"), "--seed", "1",
+                   "--duration", "0.02", "--pilot", pilot])
+        assert rc == 2
+    assert not (tmp_path / "p.rht").exists()
 
 
 def test_cli_spectrum_epsilon_one_matches_welch(cli_ws):
@@ -1080,6 +1090,9 @@ def test_cli_compare_pass_fail_and_disjoint(cli_ws, tmp_path):
     assert main(["compare", "--a", str(het), "--b", str(off)]) == 1
     assert main(["compare", "--a", str(het), "--b", str(het),
                  "--band", "2000000:3000000"]) == 2
+    for band in ("nan:nan", "460000:300000"):
+        assert main(["compare", "--a", str(het), "--b", str(het),
+                     "--band", band]) == 2
     # a file that is no spectrum is an I/O error
     assert main(["compare", "--a", str(cli_ws / "trace.rht"),
                  "--b", str(het)]) == 3

@@ -16,7 +16,6 @@ from rhet import (PhaseDriftSpec, PhaseSeries, Spectrum, compare_spectra,
 import rhet.synth
 from rhet.analytic import _model_rows
 from rhet.core import TWO_PI, ConfigError
-from rhet.synth import _bin_factors
 
 
 def test_tone_field_closed_form():
@@ -257,19 +256,22 @@ def test_synth_bytes_equal_the_serial_draw(thermal_cfg, monkeypatch, n,
     for seed in (0, 1, 2):
         for pilot in (0.0, 2500.0):
             want = _serial_current(cfg, n, dt, seed, pilot, factors).tobytes()
-            _bin_factors.cache_clear()
+            monkeypatch.setattr(rhet.synth, "_memo", (None, None))
+            entries = []
             for memo in ("cold", "warm"):
                 got = synth_gaussian_trace(cfg, n * dt, dt, seed=seed,
                                            pilot_amplitude=pilot)
                 assert got.samples.tobytes() == want, (memo, seed, pilot)
-            assert _bin_factors.cache_info().hits == 1
+                entries.append(rhet.synth._memo)
+            # the warm draw read the cold draw's entry and stored none
+            assert entries[0] is entries[1]
 
 
 def test_synth_threads_under_stress_keep_the_serial_bytes(thermal_cfg,
                                                          monkeypatch):
     # more threads than cores and a short switch interval, and four callers
-    # at once on one cold memo entry: the fill lock lets one thread compute
-    # the factors, and every trace keeps the bytes of the serial draw
+    # at once on one cold memo: each fills its own factors and stores them
+    # whole, and every trace keeps the bytes of the serial draw
     monkeypatch.setattr(rhet.synth, "_thread_count", lambda workers: 5)
     cfg = dataclasses.replace(thermal_cfg,
                               drift=PhaseDriftSpec(0.785, 25.0, "sine"))
@@ -278,7 +280,7 @@ def test_synth_threads_under_stress_keep_the_serial_bytes(thermal_cfg,
     want = {s: _serial_current(cfg, n, dt, s, 2500.0, factors).tobytes()
             for s in range(4)}
     got = {}
-    _bin_factors.cache_clear()
+    monkeypatch.setattr(rhet.synth, "_memo", (None, None))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -294,37 +296,47 @@ def test_synth_threads_under_stress_keep_the_serial_bytes(thermal_cfg,
     finally:
         sys.setswitchinterval(interval)
     assert got == want
-    assert _bin_factors.cache_info().currsize == 1
+    key, stored = rhet.synth._memo
+    assert key == (cfg, n, dt)
+    for f, w in zip(stored, factors):
+        assert f.tobytes() == w.tobytes()
 
 
-def test_synth_factor_memo_contract(thermal_cfg):
+def test_synth_factor_memo_contract(thermal_cfg, monkeypatch):
+    # one slot: a miss fills new factors and stores them, a hit only draws
+    fills = []
+    fill = rhet.synth._fill_factors
+    monkeypatch.setattr(rhet.synth, "_fill_factors",
+                        lambda *a: fills.append(a[:3]) or fill(*a))
+    monkeypatch.setattr(rhet.synth, "_memo", (None, None))
     n, dt = 4096, 2e-7
-    _bin_factors.cache_clear()
     cold = synth_gaussian_trace(thermal_cfg, n * dt, dt, seed=9)
     warm = synth_gaussian_trace(thermal_cfg, n * dt, dt, seed=9)
     assert cold.samples.tobytes() == warm.samples.tobytes()
-    info = _bin_factors.cache_info()
-    assert (info.misses, info.hits, info.maxsize, info.currsize) == (1, 1, 1, 1)
-    base = _bin_factors(thermal_cfg, n, dt)
+    assert fills == [(thermal_cfg, n, dt)]
+    key, base = rhet.synth._memo
+    assert key == (thermal_cfg, n, dt)
     for f in base:
         assert not f.flags.writeable
         with pytest.raises(ValueError):
             f[0] = 0.0
-    for key in ((dataclasses.replace(thermal_cfg, kappa=2.0 * thermal_cfg.kappa),
-                 n, dt),
-                (thermal_cfg, n + 1, dt),
-                (thermal_cfg, n, 1.5 * dt)):
-        misses = _bin_factors.cache_info().misses
-        other = _bin_factors(*key)
-        assert _bin_factors.cache_info().misses == misses + 1
-        assert _bin_factors.cache_info().currsize == 1
+    for count, key in enumerate((
+            (dataclasses.replace(thermal_cfg, kappa=2.0 * thermal_cfg.kappa),
+             n, dt),
+            (thermal_cfg, n + 1, dt),
+            (thermal_cfg, n, 1.5 * dt)), start=2):
+        cfg, m, step = key
+        synth_gaussian_trace(cfg, m * step, step, seed=9)
+        assert len(fills) == count and fills[-1] == key
+        stored, other = rhet.synth._memo
+        assert stored == key
         assert not np.array_equal(other[0], base[0])
 
 
-def test_synth_peak_allocation_is_bounded(thermal_cfg):
+def test_synth_peak_allocation_is_bounded(thermal_cfg, monkeypatch):
     # a cold draw (factors not memoised) of 1e6 samples; the parent design
     # of the draw peaked at 31x the trace
-    _bin_factors.cache_clear()
+    monkeypatch.setattr(rhet.synth, "_memo", (None, None))
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     try:
@@ -340,7 +352,7 @@ def test_synth_peak_allocation_is_bounded(thermal_cfg):
 
 
 def test_synth_accepts_list_and_array_config_fields(thermal_cfg):
-    # the memo hashes the config; ExperimentConfig stores sequences as tuples
+    # the memo compares configs; ExperimentConfig stores sequences as tuples
     loose = dataclasses.replace(thermal_cfg, modes=list(thermal_cfg.modes),
                                 coupling=np.array(thermal_cfg.coupling))
     assert loose == thermal_cfg and hash(loose) == hash(thermal_cfg)
