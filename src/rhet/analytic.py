@@ -55,28 +55,40 @@ def _lorentz(u, gam):
 
 def _model_rows(cfg: ExperimentConfig, nu: np.ndarray):
     """(s_adaga(nu), s_adaga(-nu), s_aa(nu)) for an array of angular
-    frequencies: one pass forms the terms at +-nu that all three need."""
+    frequencies: one pass forms the terms at +-nu that all three need.
+
+    Each mode's Lorentzians L(nu + omega_m) and L(nu - omega_m) serve -nu
+    too, as L(-nu - omega_m) and L(-nu + omega_m): (-nu) + omega_m is
+    -(nu - omega_m) in IEEE arithmetic and u*u is even, so the bits are
+    those of evaluating them at -nu. At backaction_weight 0, V is zero: alpha
+    is R and the beta terms would add only zeros, so they are not formed."""
     cc = cavity_susceptibility(nu, cfg.kappa, cfg.detuning)
     ccm = cavity_susceptibility(-nu, cfg.kappa, cfg.detuning)
+    cc2, ccm2 = np.abs(cc) ** 2, np.abs(ccm) ** 2
     # sums over modes; each becomes an array at its first update
     content = content_m = corr = V = Vm = 0.0
     w = cfg.backaction_weight
     for mode, g in zip(cfg.modes, cfg.coupling):
         gam, om, nb = mode.gamma, mode.omega_m, mode.nbar
-        pq = (nb + 1) * _lorentz(nu + om, gam) + nb * _lorentz(nu - om, gam)
-        pqm = (nb + 1) * _lorentz(-nu + om, gam) + nb * _lorentz(-nu - om, gam)
+        up, dn = _lorentz(nu + om, gam), _lorentz(nu - om, gam)
+        pq = (nb + 1) * up + nb * dn
+        pqm = (nb + 1) * dn + nb * up
         k2 = 2.0 * cfg.kappa * g * g
-        content += k2 * np.abs(cc) ** 2 * pq
-        content_m += k2 * np.abs(ccm) ** 2 * pqm
+        content += k2 * cc2 * pq
+        content_m += k2 * ccm2 * pqm
         corr -= k2 * cc * ccm * np.sqrt(pq * pqm)
         if w != 0.0:
             V += 4j * cfg.kappa * w * g * g * cc * _chibar(nu, mode)
             Vm += 4j * cfg.kappa * w * g * g * ccm * _chibar(-nu, mode)
-    alpha = V * cc + (2.0 * cfg.kappa * cc - 1.0)  # V chi_c + R
-    beta = V * np.conj(ccm)
-    alpham = Vm * ccm + (2.0 * cfg.kappa * ccm - 1.0)
-    betam = Vm * np.conj(cc)
+    alpha = 2.0 * cfg.kappa * cc - 1.0  # R, then V chi_c + R
+    alpham = 2.0 * cfg.kappa * ccm - 1.0
     half = 0.5 * cfg.shot_floor
+    if w == 0.0:
+        return (content + np.abs(alpha) ** 2 * half,
+                content_m + np.abs(alpham) ** 2 * half, corr)
+    alpha, alpham = V * cc + alpha, Vm * ccm + alpham
+    beta = V * np.conj(ccm)
+    betam = Vm * np.conj(cc)
     s_adaga = content + (np.abs(alpha) ** 2 + np.abs(beta) ** 2) * half
     s_aadag = content_m + (np.abs(alpham) ** 2 + np.abs(betam) ** 2) * half
     s_aa = corr + (alpham * beta + alpha * betam) * half

@@ -157,10 +157,14 @@ def _cmd_synth(args) -> int:
         cfg.drift, **{k: v for k, v in given.items() if v is not None}))
     trace = synth_gaussian_trace(cfg, args.duration, args.dt, args.seed,
                                  pilot_amplitude=args.pilot)
+    with np.errstate(over="ignore"):
+        rms = np.sqrt(np.mean(trace.samples ** 2))
+    if not np.isfinite(rms):
+        raise ValueError("the trace's power overflows, so no spectrum of it "
+                         "would be finite")
     write_trace(args.out, trace)
     print(f"wrote {args.out}: {trace.n} samples, dt={trace.dt:g} s, "
-          f"Omega/2pi={trace.omega_beat / TWO_PI:g} Hz, "
-          f"rms={np.sqrt(np.mean(trace.samples ** 2)):.4g}")
+          f"Omega/2pi={trace.omega_beat / TWO_PI:g} Hz, rms={rms:.4g}")
     return 0
 
 

@@ -387,6 +387,9 @@ def _segment_moments(trace: TimeTrace, segments: int, rows, workers=1,
 
     _on_threads(item, -(-segments // span), workers,
                 lambda out: [moments.add(r) for r in out], workspace)
+    if not np.isfinite(moments.mean).all():
+        raise ValueError("the trace's spectrum overflows: its segment "
+                         "moments are not finite")
     if key is not None:
         trace._bases[key] = moments
     return moments

@@ -26,11 +26,14 @@ deterministic given the seed.
 
 A synthesis runs on every usable CPU, with the bytes of a serial draw on any
 number of them. The calling thread draws the field's four N-point normal
-blocks from the one RNG stream while a helper computes the factors on a
-memo miss (a hit starts no helper); it then assembles the coefficients and
-runs the FFT. The beat-note phase and the modulation run blockwise on all
-threads. The calling thread allocates every N-point array; helpers
-allocate only blocks.
+blocks from the one RNG stream. On a memo miss a helper starts on the
+factors' blocks of bins at once, and the calling thread takes blocks too as
+soon as its draw is done; a hit starts no helper. The fourth draw's tail,
+past the last positive bin, is read by nothing, so it is drawn only when a
+random walk's steps follow it in the stream. The calling thread then
+assembles the coefficients and runs the FFT. The beat-note phase and the
+modulation run blockwise on all threads. The calling thread allocates every
+N-point array; helpers allocate only blocks.
 """
 from __future__ import annotations
 
@@ -97,45 +100,58 @@ def modulate_current(x_quad, y_quad, omega_beat: float, theta,
 _BLOCK = 65536  # elements per block of a factor, draw or phase step
 
 
-def _fill_factors(cfg: ExperimentConfig, n: int, dt: float, l11, l21, l22):
+def _fill_factors(cfg: ExperimentConfig, n: int, dt: float, factors, starts):
     """The Cholesky factors of fftfreq bins 0..n//2 into the caller's arrays
-    l11, l21 and l22, a block of bins at a time; then they are read-only.
+    factors = (l11, l21, l22), one block of bins for each start taken from
+    the iterator starts, which other threads may share: blocks are
+    elementwise, so any split of them gives the same bits. The caller makes
+    the arrays read-only once every thread is done.
 
     0.5: each part of a unit complex normal has variance 1/2. Bin k sits at
     2 pi k / (n dt), fftfreq's bits without its n-point array; an even n's
     Nyquist bin at -pi/dt, and l11 alone draws it, as it does DC. Blocks
     bound the model's temporaries."""
+    l11, l21, l22 = factors
     scale, step = 0.5 / (n * dt), 1.0 / (n * dt)
-    for k in range(0, l11.size, _BLOCK):
+    for k in starts:
         s = slice(k, min(k + _BLOCK, l11.size))
         bins = np.arange(s.start, s.stop)
         if n % 2 == 0 and s.stop == l11.size:
             bins[-1] = -bins[-1]
-        p1, p2, c = (r * scale for r in
-                     _model_rows(cfg, TWO_PI * (bins * step)))
+        p1, p2, c = _model_rows(cfg, TWO_PI * (bins * step))
+        for r in (p1, p2, c):
+            r *= scale
         np.sqrt(p1, out=l11[s])
-        safe = np.where(p1 > 0, p1, 1.0)
-        l21[s] = np.where(p1 > 0, np.conj(c) / np.sqrt(safe), 0.0)
-        l22sq = p2 - np.where(p1 > 0, np.abs(c) ** 2 / safe, 0.0)
+        # where p1 > 0, l21 = conj(c) / l11 and l22^2 = p2 - |c|^2 / p1;
+        # elsewhere l21 = 0 and l22^2 = p2
+        pos = p1 > 0
+        np.conjugate(c, out=c)
+        l21[s] = 0.0
+        np.divide(c, l11[s], out=l21[s], where=pos)
+        c2 = np.abs(c) ** 2
+        np.subtract(p2, np.divide(c2, p1, out=c2, where=pos), out=p2,
+                    where=pos)
         # PSD-guaranteed analytically; clip the float dust
-        np.sqrt(np.maximum(l22sq, 0.0), out=l22[s])
-    for f in (l11, l21, l22):
-        f.flags.writeable = False
+        np.sqrt(np.maximum(p2, 0.0, out=p2), out=l22[s])
 
 
 _memo = None, None  # the last synthesis's (cfg, n, dt) and factors
 
 
-def _draw_normals(rng: np.random.Generator, z: np.ndarray) -> None:
+def _draw_normals(rng: np.random.Generator, z: np.ndarray,
+                  whole: bool) -> None:
     """The field's four n-point normal draws, in order and a block at a
     time: g1 = draw 1 + i draw 2 into z, and g2 = draw 3 + i draw 4 on the
-    positive bins k into z[n - k], where _assemble reads it."""
-    n = z.size
-    g2 = z[n - 1:n // 2:-1]  # z[n - k] for k = 1 .. (n + 1) // 2 - 1
+    positive bins k into z[n - k], where _assemble reads it. Draw 4 stops
+    after the last positive bin unless whole: only a random walk reads the
+    stream after it."""
+    n, h = z.size, (z.size + 1) // 2
+    g2 = z[n - 1:n // 2:-1]  # z[n - k] for k = 1 .. h - 1
     buf = np.empty(min(n, _BLOCK))
-    for out, first in ((z.real, 0), (z.imag, 0), (g2.real, 1), (g2.imag, 1)):
-        for k in range(0, n, _BLOCK):
-            b = buf[:min(_BLOCK, n - k)]
+    for out, first, stop in ((z.real, 0, n), (z.imag, 0, n), (g2.real, 1, n),
+                             (g2.imag, 1, n if whole else h)):
+        for k in range(0, stop, _BLOCK):
+            b = buf[:min(_BLOCK, stop - k)]
             rng.standard_normal(out=b)  # the stream of one n-point draw
             lo, hi = max(k, first), min(k + b.size, first + out.size)
             if lo < hi:
@@ -185,22 +201,32 @@ def synth_gaussian_trace(cfg: ExperimentConfig, duration: float, dt: float,
         # helper allocates only blocks
         z, cur = np.empty(n, dtype=complex), np.empty(n)
         rng = np.random.default_rng(seed)
+        walk = d.amplitude != 0.0 and d.kind == "walk"
         key, factors = _memo
         if key == (cfg, n, dt):
-            _draw_normals(rng, z)
+            _draw_normals(rng, z, walk)
         else:
-            # the normals on the calling thread, the factors beside them
+            # a helper fills factor blocks at once; the calling thread
+            # draws the normals and then takes blocks too
             h = n // 2 + 1
             factors = np.empty(h), np.empty(h, dtype=complex), np.empty(h)
-            _on_threads(lambda i, _: _draw_normals(rng, z) if i == 0
-                        else _fill_factors(cfg, n, dt, *factors), 2, threads)
+            starts = iter(range(0, h, _BLOCK))
+
+            def fill(i, _):
+                if i == 0:
+                    _draw_normals(rng, z, walk)
+                _fill_factors(cfg, n, dt, factors, starts)
+
+            _on_threads(fill, 2, threads)
+            for f in factors:
+                f.flags.writeable = False
             _memo = (cfg, n, dt), factors
         _assemble(z, *factors)
         # a(t_j) = sum_k z_k e^{-i nu_k t_j}: the forward FFT implements
         # the e^{-i} kernel on the fftfreq layout. It takes about 2x z more
         # memory while it runs, so cur is first written after it
         _in_place(np.fft.fft, z)
-        if d.amplitude != 0.0 and d.kind == "walk":
+        if walk:
             # theta(t) into cur, from the draws after the field's
             rng.standard_normal(out=cur)
             cur *= d.amplitude / np.sqrt(n)

@@ -6,6 +6,7 @@ evaluation of the defining sums sample by sample, for both variants and
 with a drifting filter phase.
 """
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -551,6 +552,46 @@ def test_max_lag_and_windows(noise_trace):
             psd_from_autocorr(ac, window=bad)
     with pytest.raises(ValueError):
         filtered_autocorr(noise_trace, f, max_lag=2 * noise_trace.duration)
+
+
+@pytest.mark.parametrize("variant", ["tbar", "t0"])
+def test_bartlett_window_weights_the_filtered_autocorrelation(noise_trace,
+                                                              variant):
+    # S(w) = dt (r_0 + 2 sum_m (1 - m / n_keep) r_m cos(w m dt)) over the
+    # kept lags of the segment's filtered autocorrelation r
+    dt, n_keep = noise_trace.dt, 100
+    got = rhet_spectrum(noise_trace, -0.3, 0.4, variant=variant, segments=1,
+                        max_lag=n_keep * dt, window="bartlett")
+    assert got.meta["window"] == "bartlett"
+    f = FilterSpec(epsilon=-0.3, omega_beat=OMEGA, phase_offset=0.8)
+    r = filtered_autocorr(noise_trace, f, variant=variant,
+                          max_lag=n_keep * dt).values
+    m = np.arange(1, n_keep + 1)
+    want = dt * (r[0] + 2.0 * np.cos(np.outer(got.freqs, m * dt))
+                 @ ((1.0 - m / n_keep) * r[1:]))
+    assert np.max(np.abs(got.values - want)) < 1e-10 * np.max(np.abs(want))
+
+
+def test_overflowing_trace_raises_instead_of_nan_spectra(noise_trace):
+    # finite samples of +-1e300 whose periodograms overflow
+    big = TimeTrace(samples=1e300 * np.sign(noise_trace.samples),
+                    dt=noise_trace.dt, omega_beat=OMEGA, theta_nominal=0.0)
+    calls = {"welch": lambda: standard_psd(big, segments=2),
+             "tbar": lambda: rhet_spectrum(big, -1.0, 0.3, segments=2),
+             "t0": lambda: rhet_spectrum(big, -1.0, 0.3, variant="t0",
+                                         segments=2),
+             "lag window": lambda: rhet_spectrum(
+                 big, -1.0, 0.3, segments=2, max_lag=50 * big.dt),
+             "cross": lambda: complex_corr_spectrum(big, segments=2),
+             "fast map": lambda: theta_map_fast(big, 0.0, n_theta=4,
+                                                segments=2)}
+    for call in calls.values():
+        # the FFTs' overflow warnings, on the helper threads too, are not
+        # what is under test
+        with warnings.catch_warnings(), \
+                pytest.raises(ValueError, match="overflows"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            call()
 
 
 def test_segmenting_and_variance(short_trace):

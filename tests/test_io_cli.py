@@ -660,7 +660,8 @@ def test_cli_synth_usage_errors(cli_ws, tmp_path):
                "--out", str(tmp_path / "x.rht"), "--seed", "1",
                "--duration", "0.02"])
     assert rc == 2
-    for pilot in ("nan", "inf"):
+    # 1e308 is finite, but the trace's power overflows
+    for pilot in ("nan", "inf", "1e308"):
         rc = main(["synth", "--config", str(cli_ws / "config.json"),
                    "--out", str(tmp_path / "p.rht"), "--seed", "1",
                    "--duration", "0.02", "--pilot", pilot])
@@ -1031,6 +1032,28 @@ def test_cli_map_cannot_normalize_at_eps_minus_one(cli_ws):
                "--out", str(cli_ws / "no.csv"), "--epsilon", "-1",
                "--thetas", "4", "--segments", "8", "--normalize", "het"])
     assert rc == 2
+
+
+def test_cli_map_normalizes_to_the_heterodyne_peak(cli_ws):
+    trace = cli_ws / "trace.rht"
+    flags = ["--epsilon", "0", "--thetas", "4", "--segments", "8",
+             "--band", "350000:410000", "--format", "npz"]
+    for name, more in (("plain", []), ("het", ["--normalize", "het"])):
+        rc = main(["map", "--in", str(trace), "--out",
+                   str(cli_ws / f"norm_{name}.npz")] + flags + more)
+        assert rc == 0
+    plain = read_map(cli_ws / "norm_plain.npz")
+    het = read_map(cli_ws / "norm_het.npz")
+    # c0 (max - median) of the Welch PSD over the band, at epsilon 0
+    welch = standard_psd(read_trace(trace), segments=8)
+    lo, hi = 350000.0 * TWO_PI, 410000.0 * TWO_PI
+    vals = welch.values[(welch.freqs >= lo) & (welch.freqs <= hi)]
+    assert vals.size > 3
+    assert het.normalization == 0.5 * (np.max(vals) - np.median(vals))
+    assert plain.normalization == 1.0
+    assert np.array_equal(het.freqs, plain.freqs)
+    np.testing.assert_allclose(het.spectra * het.normalization,
+                               plain.spectra, rtol=1e-15, atol=0.0)
 
 
 def test_cli_analytic_kinds(cli_ws, tmp_path):

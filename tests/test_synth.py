@@ -15,7 +15,7 @@ from rhet import (PhaseDriftSpec, PhaseSeries, Spectrum, compare_spectra,
                   tone_field)
 import rhet.synth
 from rhet.analytic import _model_rows
-from rhet.core import TWO_PI, ConfigError
+from rhet.core import TWO_PI, ConfigError, MechMode
 
 
 def test_tone_field_closed_form():
@@ -188,14 +188,77 @@ def test_synth_matches_per_bin_cholesky_oracle(thermal_cfg, n, drift, pilot):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _reference_model_rows(cfg, nu):
+    """The model pass as it stood before it shared its +-nu Lorentzians and
+    skipped the zero backaction terms: four Lorentzians per mode and every
+    term formed. It keeps the bits synthesis must keep."""
+    def lorentz(u, gam):
+        return gam / (u * u + 0.25 * gam * gam)
+
+    def chibar(x, mode):
+        om, gam = mode.omega_m, mode.gamma
+        return om / (om * om - x * x - 1j * gam * x)
+
+    cc = 1.0 / (cfg.kappa - 1j * (cfg.detuning + nu))
+    ccm = 1.0 / (cfg.kappa - 1j * (cfg.detuning - nu))
+    content = content_m = corr = V = Vm = 0.0
+    w = cfg.backaction_weight
+    for mode, g in zip(cfg.modes, cfg.coupling):
+        gam, om, nb = mode.gamma, mode.omega_m, mode.nbar
+        pq = (nb + 1) * lorentz(nu + om, gam) + nb * lorentz(nu - om, gam)
+        pqm = (nb + 1) * lorentz(-nu + om, gam) + nb * lorentz(-nu - om, gam)
+        k2 = 2.0 * cfg.kappa * g * g
+        content += k2 * np.abs(cc) ** 2 * pq
+        content_m += k2 * np.abs(ccm) ** 2 * pqm
+        corr -= k2 * cc * ccm * np.sqrt(pq * pqm)
+        if w != 0.0:
+            V += 4j * cfg.kappa * w * g * g * cc * chibar(nu, mode)
+            Vm += 4j * cfg.kappa * w * g * g * ccm * chibar(-nu, mode)
+    alpha = V * cc + (2.0 * cfg.kappa * cc - 1.0)
+    beta = V * np.conj(ccm)
+    alpham = Vm * ccm + (2.0 * cfg.kappa * ccm - 1.0)
+    betam = Vm * np.conj(cc)
+    half = 0.5 * cfg.shot_floor
+    s_adaga = content + (np.abs(alpha) ** 2 + np.abs(beta) ** 2) * half
+    s_aadag = content_m + (np.abs(alpham) ** 2 + np.abs(betam) ** 2) * half
+    s_aa = corr + (alpham * beta + alpha * betam) * half
+    return s_adaga, s_aadag, s_aa
+
+
+def _model_configs(cfg):
+    third = MechMode(omega_m=TWO_PI * 700e3, gamma=TWO_PI * 5e3,
+                     mass=100e-12, nbar=5e6)
+    return {"default": cfg,
+            "resonant": dataclasses.replace(cfg, detuning=0.0),
+            "backaction": dataclasses.replace(cfg, backaction_weight=1.0),
+            "floor": dataclasses.replace(cfg, shot_floor=2.5),
+            "one mode": dataclasses.replace(cfg, modes=cfg.modes[:1],
+                                            coupling=cfg.coupling[:1]),
+            "three modes": dataclasses.replace(
+                cfg, modes=cfg.modes + (third,),
+                coupling=cfg.coupling + (TWO_PI * 30.0,))}
+
+
+def test_model_rows_keep_the_reference_bits(thermal_cfg):
+    # both signs of every frequency, zero, and the grid a synthesis reads
+    n, dt = 100_001, 2e-7
+    nu = np.concatenate([TWO_PI * np.fft.fftfreq(n, dt),
+                         np.linspace(-3e7, 3e7, 4097)])
+    for name, cfg in _model_configs(thermal_cfg).items():
+        got, want = _model_rows(cfg, nu), _reference_model_rows(cfg, nu)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+
 def _serial_factors(cfg, n, dt):
     """The factors as one thread made them before synthesis ran on threads,
-    from one fftfreq grid; with _serial_current, every step's bits are the
-    ones synthesis must keep."""
+    from one fftfreq grid and the reference model pass; with
+    _serial_current, every step's bits are the ones synthesis must keep."""
     scale = 0.5 / (n * dt)
     nu = TWO_PI * np.fft.fftfreq(n, dt)[:n // 2 + 1]
     p1, p2, c = (np.concatenate(rows) * scale for rows in zip(*(
-        _model_rows(cfg, nu[k:k + 65536]) for k in range(0, nu.size, 65536))))
+        _reference_model_rows(cfg, nu[k:k + 65536])
+        for k in range(0, nu.size, 65536))))
     l11 = np.sqrt(p1)
     safe = np.where(p1 > 0, p1, 1.0)
     l21 = np.where(p1 > 0, np.conj(c) / np.sqrt(safe), 0.0)
@@ -267,11 +330,25 @@ def test_synth_bytes_equal_the_serial_draw(thermal_cfg, monkeypatch, n,
             assert entries[0] is entries[1]
 
 
+def test_synth_bytes_equal_the_serial_draw_on_every_model_config(
+        thermal_cfg, monkeypatch):
+    # two factor blocks, shared by two threads on a cold memo, for each
+    # config of the reference model pass's test
+    monkeypatch.setattr(rhet.synth, "_thread_count", lambda workers: 2)
+    n, dt = 140_000, 2e-7
+    for name, cfg in _model_configs(thermal_cfg).items():
+        monkeypatch.setattr(rhet.synth, "_memo", (None, None))
+        want = _serial_current(cfg, n, dt, 3, 0.0, _serial_factors(cfg, n, dt))
+        got = synth_gaussian_trace(cfg, n * dt, dt, seed=3).samples
+        assert got.tobytes() == want.tobytes(), name
+
+
 def test_synth_threads_under_stress_keep_the_serial_bytes(thermal_cfg,
                                                          monkeypatch):
     # more threads than cores and a short switch interval, and four callers
-    # at once on one cold memo: each fills its own factors and stores them
-    # whole, and every trace keeps the bytes of the serial draw
+    # at once on one cold memo: each fills its own factors, on two threads
+    # that share its iterator of blocks, and stores them whole, and every
+    # trace keeps the bytes of the serial draw
     monkeypatch.setattr(rhet.synth, "_thread_count", lambda workers: 5)
     cfg = dataclasses.replace(thermal_cfg,
                               drift=PhaseDriftSpec(0.785, 25.0, "sine"))
@@ -303,34 +380,104 @@ def test_synth_threads_under_stress_keep_the_serial_bytes(thermal_cfg,
 
 
 def test_synth_factor_memo_contract(thermal_cfg, monkeypatch):
-    # one slot: a miss fills new factors and stores them, a hit only draws
-    fills = []
+    # one slot: a miss fills new factors, every block of them once between
+    # its threads, and stores them read-only; a hit only draws
+    fills = []  # (key, factors, block starts taken) per call
     fill = rhet.synth._fill_factors
-    monkeypatch.setattr(rhet.synth, "_fill_factors",
-                        lambda *a: fills.append(a[:3]) or fill(*a))
-    monkeypatch.setattr(rhet.synth, "_memo", (None, None))
-    n, dt = 4096, 2e-7
-    cold = synth_gaussian_trace(thermal_cfg, n * dt, dt, seed=9)
-    warm = synth_gaussian_trace(thermal_cfg, n * dt, dt, seed=9)
-    assert cold.samples.tobytes() == warm.samples.tobytes()
-    assert fills == [(thermal_cfg, n, dt)]
-    key, base = rhet.synth._memo
-    assert key == (thermal_cfg, n, dt)
-    for f in base:
-        assert not f.flags.writeable
-        with pytest.raises(ValueError):
-            f[0] = 0.0
-    for count, key in enumerate((
-            (dataclasses.replace(thermal_cfg, kappa=2.0 * thermal_cfg.kappa),
-             n, dt),
-            (thermal_cfg, n + 1, dt),
-            (thermal_cfg, n, 1.5 * dt)), start=2):
-        cfg, m, step = key
-        synth_gaussian_trace(cfg, m * step, step, seed=9)
-        assert len(fills) == count and fills[-1] == key
-        stored, other = rhet.synth._memo
-        assert stored == key
-        assert not np.array_equal(other[0], base[0])
+
+    def counted(cfg, n, dt, factors, starts):
+        taken = []
+        fills.append(((cfg, n, dt), factors, taken))
+        fill(cfg, n, dt, factors, (taken.append(k) or k for k in starts))
+
+    def filled():
+        # the distinct factors filled so far, with their keys and blocks
+        out = {}
+        for key, factors, taken in fills:
+            out.setdefault(id(factors), (key, factors, []))[2].extend(taken)
+        return list(out.values())
+
+    monkeypatch.setattr(rhet.synth, "_fill_factors", counted)
+    n, dt = 140_000, 2e-7  # 70 001 bins: two blocks
+    for threads in (1, 2):
+        monkeypatch.setattr(rhet.synth, "_thread_count",
+                            lambda workers: threads)
+        monkeypatch.setattr(rhet.synth, "_memo", (None, None))
+        fills.clear()
+        cold = synth_gaussian_trace(thermal_cfg, n * dt, dt, seed=9)
+        warm = synth_gaussian_trace(thermal_cfg, n * dt, dt, seed=9)
+        assert cold.samples.tobytes() == warm.samples.tobytes()
+        (key, base, taken), = filled()
+        assert key == (thermal_cfg, n, dt)
+        assert sorted(taken) == [0, 65536]
+        assert rhet.synth._memo[0] == key and rhet.synth._memo[1] is base
+        for f in base:
+            assert not f.flags.writeable
+            with pytest.raises(ValueError):
+                f[0] = 0.0
+        for count, key in enumerate((
+                (dataclasses.replace(thermal_cfg,
+                                     kappa=2.0 * thermal_cfg.kappa), n, dt),
+                (thermal_cfg, n + 1, dt),
+                (thermal_cfg, n, 1.5 * dt)), start=2):
+            cfg, m, step = key
+            synth_gaussian_trace(cfg, m * step, step, seed=9)
+            assert len(filled()) == count
+            last_key, factors, taken = filled()[-1]
+            assert last_key == key and sorted(taken) == [0, 65536]
+            stored, other = rhet.synth._memo
+            assert stored == key and other is factors
+            assert not np.array_equal(other[0], base[0])
+
+
+def test_fill_factors_keep_the_reference_bits_off_the_positive_bins(
+        thermal_cfg, monkeypatch):
+    # rows the model never gives: P(nu) zero, negative or NaN in places,
+    # P(-nu) below |s_aa|^2 / P(nu); the fill must keep _serial_factors'
+    # bits there too
+    n, dt = 140_000, 2e-7
+    h = n // 2 + 1
+    rng = np.random.default_rng(8)
+    p1 = rng.uniform(0.5, 2.0, h)
+    p1[::7], p1[3::11], p1[5::13] = 0.0, -1e-3, np.nan
+    p2 = rng.uniform(-0.1, 2.0, h)
+    c = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+    rows = {}
+
+    def crafted(cfg, nu):
+        # the rows of the bins nu, by their place in the fftfreq grid
+        k = np.abs(np.rint(nu * (n * dt) / TWO_PI)).astype(int)
+        rows[k[0]] = p1[k], p2[k], c[k]
+        return tuple(r.copy() for r in rows[k[0]])
+
+    monkeypatch.setattr(rhet.synth, "_model_rows", crafted)
+    # the caller's arrays hold junk before the fill
+    got = np.full(h, 7.0), np.full(h, 7.0 + 7.0j), np.full(h, 7.0)
+    with np.errstate(invalid="ignore"):
+        rhet.synth._fill_factors(thermal_cfg, n, dt, got,
+                                 iter(range(0, h, 65536)))
+        scale = 0.5 / (n * dt)
+        q1, q2, cc = (r * scale for r in (p1, p2, c))
+        safe = np.where(q1 > 0, q1, 1.0)
+        want = (np.sqrt(q1),
+                np.where(q1 > 0, np.conj(cc) / np.sqrt(safe), 0.0),
+                np.sqrt(np.maximum(
+                    q2 - np.where(q1 > 0, np.abs(cc) ** 2 / safe, 0.0), 0.0)))
+    assert sorted(rows) == [0, 65536]
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_synth_draws_no_unread_normals(thermal_cfg):
+    # the fourth draw stops after the last positive bin, unless a random
+    # walk's steps follow it in the stream
+    for n in (4096, 4097, 140_001):
+        for whole, count in ((False, 3 * n + (n + 1) // 2), (True, 4 * n)):
+            rng = np.random.default_rng(5)
+            rhet.synth._draw_normals(rng, np.empty(n, dtype=complex), whole)
+            want = np.random.default_rng(5)
+            want.standard_normal(count)
+            assert rng.bit_generator.state == want.bit_generator.state
 
 
 def test_synth_peak_allocation_is_bounded(thermal_cfg, monkeypatch):
