@@ -31,12 +31,18 @@ further (eps, theta) costs O(n_freq); the variance of a = (c0, c1 cos
 2theta, c1 sin 2theta) applied to it is a^T M a / (S(S-1)). With y = i or
 e^{-i d/2} i and K = 2 Om N dt / 2 pi an integer (_bin_shift), conj(FFT
 x)[k] = e^{2i Om t_off} FFT(y)[(-k - K) mod N]: per segment the "shifted"
-route takes one rfft (static) or one complex FFT and one rfft (drift), the
-"transformed" route one complex FFT more, and tbar adds two for the lag
-phase e^{i Om tau}. Each build logs its route at DEBUG.
+route takes one rfft (static) or one complex FFT and one rfft (drift) for
+the product spectrum conj(FFT x) FFT y and P0, the "transformed" route one
+complex FFT more. G is linear in the product spectrum, so G's mean is the
+lag step (two complex FFTs for e^{i Om tau}, tbar only) applied once to
+the segments' scaled product spectra, summed in segment order. The full
+basis behind tbar spectra also takes the lag step per segment, for G's
+co-moments; a map's entry keeps the means alone and reads P0's moments
+from any entry the trace holds. Each build logs its route at DEBUG.
 
 eps = +1 makes F = 1, and both variants are then standard_psd: row 0 of
-any basis or t0 entry the trace holds, else one rfft per pair of segments.
+any basis, t0 or Welch entry the trace holds, else one rfft per pair of
+segments, kept as the trace's Welch entry.
 t0 uses the literal filter F = a + b s, a = (1+eps)/2, b = (1-eps)/2, s the
 +-1 square wave, so S = a P0 + b T with T = dt/N Re[conj(FFT(s i)) FFT(i)]
 per segment: the same engine on the rows (P0, T) with weights (a, b). Its
@@ -170,6 +176,14 @@ def _cis(x, out=None):
     return z
 
 
+def _lag(x, phase):
+    """tbar's lag step on a product spectrum x, in place:
+    FFT[phase IFFT x]."""
+    _in_place(np.fft.ifft, x)
+    x *= phase
+    return _in_place(np.fft.fft, x)
+
+
 def _pair(op, a, n, out=None):
     """op(a[k], a[-k mod n]) for k = 0..n//2 of a circular array, by
     slices, written into out (new by default)."""
@@ -195,6 +209,15 @@ def _demod_pair(cur, phasor, dyn, t, out=None):
     np.conj(h, out=h)
     h *= cur
     return phasor, h
+
+
+def _finite(values, what="segment moments"):
+    """values, once checked to be finite: a trace whose spectrum overflows
+    raises instead of giving NaN."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"the trace's spectrum overflows: its {what} are "
+                         "not finite")
+    return values
 
 
 def _tbar_half(cur, dt, f, t_abs):
@@ -243,7 +266,8 @@ def filtered_autocorr(trace: TimeTrace, f: FilterSpec,
     else:
         half = _tbar_half(cur, dt, f, t_abs)
     return Autocorrelation(
-        values=np.asarray(half[: n_lag + 1], dtype=float), variant=variant,
+        values=_finite(np.asarray(half[: n_lag + 1], dtype=float),
+                       "autocorrelation lags"), variant=variant,
         filter=f, dt=dt, n_fft=n, meta={"t_offset": float(t_offset)})
 
 
@@ -286,7 +310,8 @@ def psd_from_autocorr(ac: Autocorrelation, window: str = "rect",
     full[: n_keep + 1] = half
     full[ac.n_fft - n_keep:] = half[1:][::-1]
     # full is circularly even: its FFT is real and even, so the rfft holds it
-    row = _mirror(ac.dt * np.fft.rfft(full).real, ac.n_fft)
+    row = _mirror(_finite(ac.dt * np.fft.rfft(full).real, "PSD values"),
+                  ac.n_fft)
     return Spectrum(freqs=_spectrum_grid(ac.n_fft, ac.dt), values=row,
                     meta={**ac.meta, "kind": "rhet", "variant": ac.variant,
                           "epsilon": ac.filter.epsilon, "window": window,
@@ -337,9 +362,9 @@ class _Moments:
     """Running mean and co-moment (Welford) of a stack of K real rows,
     updated in call order so the result is reproducible to the bit. The
     co-moment is symmetric, so m2 holds it once per pair i <= j, in the
-    order of `pairs`."""
+    order of `pairs`. A summing route adds its linear rows to `total`."""
 
-    count, mean, m2, pairs = 0, None, None, ()
+    count, mean, m2, pairs, total = 0, None, None, (), None
 
     def add(self, rows):
         self.count += 1
@@ -369,12 +394,15 @@ class _Moments:
 
 
 def _segment_moments(trace: TimeTrace, segments: int, rows, workers=1,
-                     span=1, workspace=lambda: None, key=None) -> _Moments:
+                     span=1, workspace=lambda: None, key=None,
+                     summed=False) -> _Moments:
     """Moments of a route's rows over the segments of a trace, stored under
     key (the entry held there, if any). Item i covers segments s = i*span..
     (fewer at the end) on one of `workers` threads (see _on_threads):
     rows(s, start, samples, space) gets segment s's absolute start time,
-    the item's samples and a workspace, and returns their rows, stacked."""
+    the item's samples and a workspace, and returns their rows, stacked.
+    With summed it returns (rows, z) for one segment, and the entry's total
+    is the sum of the z in segment order."""
     if key in trace._bases:
         return trace._bases[key]
     n = _segments(trace, segments)
@@ -385,11 +413,19 @@ def _segment_moments(trace: TimeTrace, segments: int, rows, workers=1,
         samples = trace.samples[s * n:min(s + span, segments) * n]
         return rows(s, s * n * trace.dt, samples, space)
 
-    _on_threads(item, -(-segments // span), workers,
-                lambda out: [moments.add(r) for r in out], workspace)
-    if not np.isfinite(moments.mean).all():
-        raise ValueError("the trace's spectrum overflows: its segment "
-                         "moments are not finite")
+    def consume(out):
+        if summed:
+            out, z = out
+            if moments.total is None:
+                moments.total = z.copy()
+            else:
+                moments.total += z
+        for r in out:
+            moments.add(r)
+
+    _on_threads(item, -(-segments // span), workers, consume, workspace)
+    if moments.mean is not None:
+        _finite(moments.mean)
     if key is not None:
         trace._bases[key] = moments
     return moments
@@ -461,13 +497,28 @@ def _bin_shift(n: int, dt: float, om: float) -> Optional[int]:
     return r if 0 < r < n and abs(k - r) <= _SHIFT_TOL else None
 
 
+def _held_p0(trace: TimeTrace, segments: int) -> Optional[_Moments]:
+    """An entry the trace holds whose row 0 is P0, the plain periodogram,
+    over `segments` segments (a stream basis, t0 or Welch entry), if any."""
+    return next((m for key, m in trace._bases.items()
+                 if key[0] in ("basis", "t0", "welch")
+                 and key[1] == segments), None)
+
+
 def _stream_basis(trace: TimeTrace, segments: int, variant: str,
                   phase_correction: Optional[PhaseSeries],
-                  workers: Optional[int] = None) -> _Moments:
+                  workers: Optional[int] = None, full: bool = True
+                  ) -> _Moments:
     """Moments of the (P0, Re G, Im G) rows over the segments of a trace,
     on the non-negative bins, memoised by segment count, variant and phase
-    series; the module docstring gives the two routes."""
+    series; the module docstring gives the two routes. The mean of G is
+    pair(Lag(sum_s scale_s x_s)) / segments over the product spectra x_s,
+    whatever the entry. full=False keeps the means and P0's co-moment only,
+    under a key of its own (a map's entry; a held full entry serves too),
+    and takes P0's moments from any entry the trace holds (_held_p0)."""
     key = ("basis", segments, variant, _series_key(phase_correction))
+    if not full and key not in trace._bases:
+        key += ("means",)
     if key in trace._bases:  # before the set-up and its DEBUG line
         return trace._bases[key]
     n = _segments(trace, segments)
@@ -482,9 +533,10 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
     t = np.arange(n) * dt if shift is None or dyn is not None else None
     local = _cis((-2.0 * om) * t) if shift is None else None
     lag_phase = _cis(om * _signed_lags(n, dt)) if variant == "tbar" else None
+    held = None if full else _held_p0(trace, segments)
 
     def segment_rows(s, t_off, seg, space):
-        x, c = space  # x ends as the rows; c as P0 and G
+        x, c = space[:2]  # x: the product spectrum, then the full rows
         t_abs = None if dyn is None else np.add(t, t_off, out=c.real)
         scale = dt / n
         if shift is None:
@@ -504,25 +556,44 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
             np.multiply(y[n - 1:m - 1:-1], y[m:], out=x[m:])
             # 1 up to rounding; rounded as the transformed route's phasor
             scale *= _cis(2.0 * om * t_off)
-        if variant == "tbar":
-            _in_place(np.fft.ifft, x)
-            x *= lag_phase
-            _in_place(np.fft.fft, x)
-        if dyn is not None:
-            _in_place(np.fft.rfft, seg, c[:h])
-        p0 = c[h:].view(float)[:h]
-        np.square(np.abs(c[:h], out=p0), out=p0)
-        p0 *= dt / n
+        rows = ()
+        if held is None:  # a static route's c[:h] holds FFT(seg) already
+            if dyn is not None:
+                _in_place(np.fft.rfft, seg, c[:h])
+            p0 = c[h:].view(float)[:h]
+            np.square(np.abs(c[:h], out=p0), out=p0)
+            p0 *= dt / n
+            rows = p0[None, None]
+        if not full:
+            x *= scale
+            return rows, x
+        z = np.multiply(x, scale, out=space[2])
+        if lag_phase is not None:
+            _lag(x, lag_phase)
         g = _pair(np.add, x, n, out=c[:h])
         g *= scale
         rows = x.view(float)[:3 * h].reshape(3, h)
         rows[0], rows[1], rows[2] = p0, g.real, g.imag
-        return rows[None]
+        return rows[None], z
 
-    return _segment_moments(
-        trace, segments, segment_rows, _thread_count(workers), key=key,
-        workspace=lambda: (np.empty(n, dtype=complex),
-                           np.empty(n, dtype=complex)))
+    moments = _segment_moments(
+        trace, segments, segment_rows, _thread_count(workers), summed=True,
+        workspace=lambda: tuple(np.empty(n, dtype=complex)
+                                for _ in range(3 if full else 2)))
+    # Lag and pair are linear, so they run once, on the sum
+    total = moments.total
+    if lag_phase is not None:
+        _lag(total, lag_phase)
+    g = _pair(np.add, total, n)
+    g /= segments
+    if held is not None:  # P0's moments as the held entry has them
+        moments = _Moments()
+        moments.count, moments.pairs = held.count, [(0, 0)]
+        moments.mean, moments.m2 = held.mean[:1], held.m2[:1].copy()
+    moments.mean = _finite(np.stack((moments.mean[0], g.real, g.imag)))
+    moments.total = None
+    trace._bases[key] = moments
+    return moments
 
 
 _T0_THETAS = 4  # theta entries of a trace's t0 memo; the oldest goes first
@@ -564,12 +635,12 @@ def standard_psd(trace: TimeTrace, segments: int = 1) -> Spectrum:
     """Plain Welch PSD with a boxcar window, two-sided, segment-averaged:
     S = mean_s dt/N |FFT i_s|^2. Variance is the across-segment sample
     variance of the mean (ddof=1, divided by the segment count). It is the
-    P0 row (the same periodogram, bit for bit) of a stream basis or t0
-    entry the trace holds for the same segments, if any.
+    P0 row (the same periodogram, bit for bit) of a stream basis, t0 or
+    Welch entry the trace holds for the same segments, if any; else its
+    moments are stored as the trace's Welch entry.
     """
     n = _segments(trace, segments)
-    moments = next((m for key, m in trace._bases.items()
-                    if key[0] in ("basis", "t0") and key[1] == segments), None)
+    moments = _held_p0(trace, segments)
     if moments is None:
         def periodograms(s, start, pair, space):
             f, p = (a[:pair.size // n] for a in space)
@@ -582,7 +653,8 @@ def standard_psd(trace: TimeTrace, segments: int = 1) -> Spectrum:
         moments = _segment_moments(
             trace, segments, periodograms, _thread_count(None), span=2,
             workspace=lambda: (np.empty((2, n // 2 + 1), dtype=complex),
-                               np.empty((2, 1, n // 2 + 1))))
+                               np.empty((2, 1, n // 2 + 1))),
+            key=("welch", segments))
     return _spectrum(moments, np.eye(1, len(moments.mean)), n, trace.dt,
                      {"kind": "welch", "segments": segments,
                       "window": "boxcar"})

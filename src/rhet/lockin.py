@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import TWO_PI, PhaseSeries, Spectrum, TimeTrace
-from .estimator import _in_place, rhet_spectrum
+from .estimator import _finite, _in_place, rhet_spectrum
 
 # envelope at the beat must beat the control band by this factor
 _DETECT_RATIO = 10.0
@@ -108,7 +108,8 @@ def demodulate(trace: TimeTrace, bandwidth_hz: float = 200.0) -> PhaseSeries:
 
     Raises ValueError("beat note not detected") when the beat-band envelope
     does not exceed a control band (offset by 5 kHz) by 10x in RMS over the
-    interior of the record, or when both bands are empty.
+    interior of the record, or when both bands are empty, and ValueError
+    ("the trace's spectrum overflows") when either band's power does.
     """
     om = trace.omega_beat
     fs = 1.0 / trace.dt
@@ -137,8 +138,8 @@ def demodulate(trace: TimeTrace, bandwidth_hz: float = 200.0) -> PhaseSeries:
     # judge detection on the interior: near the ends the wrapped filter
     # leaks the (possibly huge) pilot into the control band
     core = slice(trim, m - trim) if 2 * trim < m // 2 else slice(None)
-    power = np.mean(np.abs(z[core]) ** 2)
-    control = np.mean(np.abs(zc[core]) ** 2)
+    power, control = _finite(np.array([np.mean(np.abs(b[core]) ** 2)
+                                       for b in (z, zc)]), "band powers")
     with np.errstate(divide="ignore", invalid="ignore"):
         snr = np.sqrt(power / control)
     _log.info("lock-in: snr %.3g, n_fft %d, P %d, step %d, m %d, trim %d",

@@ -1,17 +1,19 @@
 """Filter-phase maps: the filtered spectrum as a function of theta.
 
-theta enters only through e^{-i 2 theta} on one complex row of the trace's
-memoised stream basis (see rhet.estimator):
+theta enters only through e^{-i 2 theta} on one complex row of the
+segment means of the trace's stream basis (see rhet.estimator):
 
     S(theta, w) = c0 * P0(w) + c1 * Re[e^{-i 2 theta} G(w)]
 
-The estimator's segment driver builds the basis on `workers` threads
-(None: every usable CPU); the fast path then fills its rows in blocks on
-as many, elementwise in a fixed order: any count gives the same bits. The
-exact path calls rhet_spectrum per theta, which in tbar (or eps = +1)
-reads the basis, so the map equals the fast map to the bit. A t0 exact
-map samples the true square wave while the fast path keeps the
-fundamental only, a couple percent on band-limited spectra.
+The fast path reads those means alone. The estimator's segment driver
+builds its entry on `workers` threads (None: every usable CPU) with one
+lag step per map, not per segment, and takes P0 from a Welch, t0 or basis
+entry the trace already holds; the rows are then filled in blocks on as
+many threads, elementwise in a fixed order: any count gives the same
+bits. The exact path calls rhet_spectrum per theta, which in tbar (or
+eps = +1) reads the same means, so the map equals the fast map to the
+bit. A t0 exact map samples the true square wave while the fast path
+keeps the fundamental only, a couple percent on band-limited spectra.
 """
 from __future__ import annotations
 
@@ -62,8 +64,6 @@ def theta_map_exact(trace: TimeTrace, epsilon: float, n_theta: int = 800,
         thetas = _theta_grid(n_theta)
         rows = np.empty((n_theta, freqs.size))
     FilterSpec(epsilon=epsilon, omega_beat=trace.omega_beat)  # checks epsilon
-    if variant == "tbar" or epsilon == 1.0:  # the rows read it from the memo
-        _stream_basis(trace, segments, variant, phase_correction)
     for row, th in zip(rows, thetas):
         row[:] = rhet_spectrum(trace, epsilon, th, variant=variant,
                                segments=segments,
@@ -86,7 +86,8 @@ def theta_map_fast(trace: TimeTrace, epsilon: float, n_theta: int = 800,
     size = f"a map of {n_theta} theta by {freqs.size} columns"
     with _fits(size):
         thetas = _theta_grid(n_theta)
-    basis = _stream_basis(trace, segments, variant, phase_correction, workers)
+    basis = _stream_basis(trace, segments, variant, phase_correction, workers,
+                          full=False)
     # the non-negative bin of each in-band column (the streams are even in w)
     cols = np.abs(np.arange(n_seg) - n_seg // 2)[mask]
     with _fits(size):

@@ -145,6 +145,29 @@ def test_detached_spectra_raise_off_grid_and_config_reevaluates(thermal_cfg):
     assert np.max(np.abs(het.values - direct)) < 1e-12 * np.max(direct)
 
 
+def test_detached_spectra_interpolate_inside_a_wide_grid(thermal_cfg):
+    # without a config, values off the grid points are interpolated on it
+    # (analytic._values_at): against the attached model's exact values at
+    # the mode's sidebands shifted by the beat, over a 25 Hz grid
+    from rhet.analytic import _values_at
+    nu = TWO_PI * np.linspace(-800e3, 800e3, 64_001)
+    fs = field_spectra(thermal_cfg, nu)
+    detached = FieldSpectra(freqs=fs.freqs, s_aadag=fs.s_aadag,
+                            s_adaga=fs.s_adaga, s_aa=fs.s_aa, config=None)
+    m1 = thermal_cfg.modes[0]
+    band = np.linspace(-5.0, 5.0, 997) * m1.gamma
+    for at in (m1.omega_m + band - thermal_cfg.omega_beat,
+               -m1.omega_m + band + thermal_cfg.omega_beat):
+        for got, want in zip(_values_at(detached, at), _values_at(fs, at)):
+            assert np.max(np.abs(got - want)) < 1e-4 * np.max(np.abs(want))
+    # heterodyne_psd shifts the whole grid by the beat, so only a zero
+    # beat keeps it on a detached grid: there it reads the grid's values
+    het = heterodyne_psd(detached, 0.0)
+    want = heterodyne_psd(fs, 0.0)
+    assert np.max(np.abs(het.values - want.values)) < \
+        1e-12 * np.max(want.values)
+
+
 def test_ponderomotive_squeezing_requires_backaction():
     mode = MechMode(omega_m=TWO_PI * 378.16e3, gamma=TWO_PI * 4.56e3,
                     mass=3e-10, nbar=2.0)

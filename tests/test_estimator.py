@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhet import (FilterSpec, PhaseSeries, correct_and_estimate, eval_filter,
+from rhet import (Autocorrelation, FilterSpec, PhaseSeries,
+                  correct_and_estimate, eval_filter,
                   filter_coefficients, filtered_autocorr,
                   complex_corr_spectrum, psd_from_autocorr, rhet_spectrum,
                   standard_psd, synth_gaussian_trace, theta_map_exact,
@@ -584,7 +585,15 @@ def test_overflowing_trace_raises_instead_of_nan_spectra(noise_trace):
                  big, -1.0, 0.3, segments=2, max_lag=50 * big.dt),
              "cross": lambda: complex_corr_spectrum(big, segments=2),
              "fast map": lambda: theta_map_fast(big, 0.0, n_theta=4,
-                                                segments=2)}
+                                                segments=2),
+             # the public lag route, on the whole trace and on finite lags
+             # whose transform overflows
+             "autocorr": lambda: filtered_autocorr(big, FilterSpec(
+                 epsilon=-1.0, omega_beat=OMEGA, phase_offset=0.6)),
+             "autocorr psd": lambda: psd_from_autocorr(Autocorrelation(
+                 values=np.full(big.n // 2 + 1, 1e308), variant="tbar",
+                 filter=FilterSpec(epsilon=-1.0, omega_beat=OMEGA),
+                 dt=big.dt, n_fft=big.n))}
     for call in calls.values():
         # the FFTs' overflow warnings, on the helper threads too, are not
         # what is under test
@@ -726,6 +735,36 @@ def test_stream_basis_matches_the_per_segment_oracles(short_trace, n_seg,
                                   workers=w) for w in (1, 2))
         assert one.mean.tobytes() == two.mean.tobytes()
         assert one.m2.tobytes() == two.m2.tobytes()
+
+
+@pytest.mark.parametrize("n_seg", [156_250, 142_857])
+@pytest.mark.parametrize("drift", [False, True])
+def test_summed_means_are_within_1e_13_of_the_welford_means(
+        short_trace, monkeypatch, n_seg, drift):
+    # the basis takes G's means from one lag step on the summed product
+    # spectra; the per-segment rows it adds for the co-moments, averaged
+    # the old way (Welford, in segment order), agree within 1e-13 of the
+    # maximum, and P0's mean is that average's to the bit (8 segments on
+    # the shifted route, K = 625, and on the transformed one, K = 571.43)
+    from rhet.estimator import _Moments, _stream_basis
+    trace = TimeTrace(samples=short_trace.samples[:8 * n_seg].copy(),
+                      dt=short_trace.dt, omega_beat=short_trace.omega_beat)
+    series = _drift_series(trace) if drift else None
+    seen, add = [], _Moments.add
+
+    def recording_add(self, rows):
+        seen.append(np.array(rows))
+        add(self, rows)
+
+    monkeypatch.setattr(_Moments, "add", recording_add)
+    for variant in ("tbar", "t0"):
+        seen.clear()
+        basis = _stream_basis(trace, 8, variant, series)
+        old, _ = _welford(seen)
+        assert len(seen) == 8 and old.shape == basis.mean.shape
+        assert basis.mean[0].tobytes() == old[0].tobytes()
+        assert np.max(np.abs(basis.mean - old)) <= \
+            1e-13 * np.max(np.abs(old))
 
 
 @pytest.mark.parametrize("drift", [False, True])

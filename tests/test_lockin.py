@@ -265,6 +265,41 @@ def test_output_grid_is_the_decimated_sample_grid():
     assert np.max(np.abs(ps.theta + 0.4)) < 1e-3
 
 
+def test_demodulate_names_an_overflowing_trace():
+    # finite samples of +-1e300 whose band powers overflow: the error says
+    # so, not "envelope only nanx the control band"
+    rng = np.random.default_rng(123)
+    big = TimeTrace(samples=1e300 * np.sign(rng.standard_normal(20_000)),
+                    dt=2e-7, omega_beat=TWO_PI * 1.0e4)
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(ValueError, match="spectrum overflows: its band "
+                                            "powers are not finite"):
+        demodulate(big)
+
+
+def test_unpadded_record_when_the_pad_exceeds_the_trim(monkeypatch, caplog):
+    # 562 908 samples would pad by 13 092 to 576 000 = 2^9 3^2 5^3, 2.6 ms
+    # against the 1.5 ms edge trim of a 2 kHz bandwidth: the record is
+    # transformed at its own length, and its m = 1804 points are spread
+    # over the record itself
+    n, bandwidth = 562_908, 2000.0
+    assert (_smooth_size(n) - n) * 2e-7 > 3.0 / bandwidth
+    phase = lambda t: phase_drift(t, 0.7, np.pi / 4, 25.0)  # noqa: E731
+    tr = _pilot_trace(n, 10_003.3, phase)
+    caplog.set_level(logging.INFO, logger="rhet.lockin")
+    ps = demodulate(tr, bandwidth)
+    (rec,) = caplog.records
+    assert f"n_fft {n}, P 12, step 312, m 1804," in rec.getMessage()
+    assert np.allclose(np.diff(ps.times), n * tr.dt / 1804, rtol=1e-12)
+    # against the injected phase, and against the bins of one unpadded
+    # rfft of the whole record
+    assert np.max(np.abs(ps.theta - phase(ps.times))) < 1e-3
+    monkeypatch.setattr(lockin, "_dft_bins", _full_rfft_bins)
+    ref = demodulate(tr, bandwidth)
+    assert ps.times.tobytes() == ref.times.tobytes()
+    assert np.max(np.abs(ps.theta - ref.theta)) < 1e-12
+
+
 def test_demodulate_rejects_an_all_zero_trace():
     # the SNR is 0/0 there; NaN must not pass the detection gate
     tr = TimeTrace(samples=np.zeros(200_000), dt=2e-7,

@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rhet import (GridError, PhaseDriftSpec, Spectrum, ThetaMap, demodulate,
+from rhet import (GridError, PhaseDriftSpec, PhaseSeries, Spectrum,
+                  ThetaMap, demodulate,
                   normalize_map, peak_amplitude, peak_location, rhet_spectrum,
                   standard_psd, synth_gaussian_trace, theta_map_exact,
                   theta_map_fast, zero_contour)
@@ -67,12 +68,12 @@ def test_eps_plus_one_rows_are_all_welch(thermal_cfg, short_trace):
     sel = (w.freqs >= band[0]) & (w.freqs <= band[1])
     assert np.max(np.abs(m.spectra[0] - w.values[sel])) < \
         1e-12 * np.max(w.values[sel])
-    # the exact map's rows read the Welch row of the one basis it builds
+    # the exact map's rows read the one Welch entry its first row stores
     for variant in ("tbar", "t0"):
         trace = _fresh(short_trace)
         me = theta_map_exact(trace, 1.0, n_theta=3, variant=variant,
                              segments=4, band=band)
-        assert [key[0] for key in trace._bases] == ["basis"]
+        assert [key[0] for key in trace._bases] == ["welch"]
         assert me.spectra.tobytes() == m.spectra[:3].tobytes()
 
 
@@ -185,13 +186,26 @@ def _fresh(trace):
                      theta_nominal=trace.theta_nominal)
 
 
-@pytest.mark.parametrize("segments", [1, 2, 3, 5, 16])
+@pytest.mark.parametrize("segments", [1, 2, 3, 5, 16, pytest.param(
+    (3, 142_857), id="3x142857")])
 def test_outputs_are_bit_identical_for_any_thread_count(pilot_trace,
+                                                        short_trace,
                                                         segments):
     # every basis is built afresh on the given thread count; the calling
     # thread adds the segments in order, so no count may move a bit of a
-    # fast map (40 rows: three blocks) or of a tbar spectrum read from it
+    # fast map (40 rows: three blocks) or of a tbar spectrum read from it.
+    # A pair is (segments, length) on the 0.25 s record with a sine
+    # series: 142 857-point segments take the transformed route (K = 571.43)
     trace, series = pilot_trace
+    if isinstance(segments, tuple):
+        segments, n_seg = segments
+        trace = TimeTrace(samples=short_trace.samples[:segments * n_seg],
+                          dt=short_trace.dt,
+                          omega_beat=short_trace.omega_beat,
+                          theta_nominal=short_trace.theta_nominal)
+        ts = np.linspace(0.0, trace.duration, 64)
+        series = PhaseSeries(times=ts, theta=trace.theta_nominal
+                             + 0.3 * np.sin(12.0 * ts))
 
     def outputs(workers):
         out = []
@@ -213,6 +227,42 @@ def test_outputs_are_bit_identical_for_any_thread_count(pilot_trace,
     want = outputs(1)
     for workers in (2, 3, 8):
         assert outputs(workers) == want
+
+
+@pytest.mark.parametrize("segments", [3, 5])
+@pytest.mark.parametrize("drift", [False, True])
+def test_fast_map_bytes_do_not_depend_on_the_entries_held(pilot_trace,
+                                                          monkeypatch,
+                                                          segments, drift):
+    # the map's P0 is row 0 of any entry the trace holds for its segment
+    # count, and its G means come from one lag step on the summed product
+    # spectra: a trace holding nothing, a Welch entry, a t0 entry or a full
+    # basis gives the same bytes, on the transformed route (3 segments)
+    # and the shifted one (5). With P0 held, the drift route runs no rfft.
+    trace, series = pilot_trace
+    ps = series if drift else None
+    holders = [lambda tr: None,
+               lambda tr: standard_psd(tr, segments=segments),
+               lambda tr: rhet_spectrum(tr, -0.5, 0.3, variant="t0",
+                                        segments=segments),
+               lambda tr: rhet_spectrum(tr, -0.5, 0.3, segments=segments,
+                                        phase_correction=ps)]
+    for variant in ("tbar", "t0"):
+        maps = []
+        for hold in holders:
+            tr = _fresh(trace)
+            hold(tr)
+            with monkeypatch.context() as m:
+                if drift and tr._bases:
+                    m.setattr(np.fft, "rfft", _fail)
+                maps.append(theta_map_fast(
+                    tr, 0.0, n_theta=12, variant=variant, segments=segments,
+                    phase_correction=ps).spectra.tobytes())
+        assert maps == maps[:1] * len(holders)
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("rfft called")
 
 
 def test_exact_map_builds_its_basis_on_the_given_threads(pilot_trace):
