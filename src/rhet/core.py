@@ -1,4 +1,4 @@
-"""Shared value types and configuration validation.
+"""Shared value types, configuration validation and the one thread helper.
 
 Every other module passes these objects around. They are plain dataclasses;
 array payloads are treated as immutable by convention: nothing in the package
@@ -9,6 +9,8 @@ and convert on the way in/out (see rhet.io).
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -347,6 +349,56 @@ def _fits(what: str, count: float = 0):
     except (MemoryError, OverflowError):
         n = f"{count:.0f}" if count < 1e15 else f"{count:.3g}"
         raise ValueError(what.format(n) + " does not fit in memory") from None
+
+
+def _integer(name: str, value, least: int) -> int:
+    """A count such as segments or workers as an int, once checked to be an
+    integer (a numpy one too, not a bool) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return int(value)
+
+
+def _thread_count(workers) -> int:
+    """workers, checked; None means every CPU this process may run on."""
+    if workers is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        return len(affinity(0)) if affinity else os.cpu_count() or 1
+    return _integer("workers", workers, 1)
+
+
+def _on_threads(body, count, workers=None, consume=lambda out: None,
+                workspace=lambda: None):
+    """body(i, space) for i < count on k = min(workers, count) threads
+    (workers as _thread_count reads it); every threaded loop of rhet runs
+    here. Item i runs on slot i % k, slot 0 being the calling thread and the
+    others helpers of a pool made for this call. Each slot runs one item at
+    a time in its own space; the calling thread makes all k with
+    workspace() before any helper starts. consume(result) runs on the
+    calling thread in item order, and only then does that slot's next item
+    start."""
+    k = min(_thread_count(workers), count)
+    spaces = [workspace() for _ in range(k)]
+    with ThreadPoolExecutor(max(k - 1, 1)) as pool:
+        pending = {i: pool.submit(body, i, spaces[i]) for i in range(1, k)}
+        for i in range(count):
+            slot = i % k
+            consume(pending.pop(i).result() if slot else body(i, spaces[0]))
+            if slot and i + k < count:
+                pending[i + k] = pool.submit(body, i + k, spaces[slot])
+
+
+def _in_place(transform, a, out=None, axis=-1):
+    """transform(a) along axis, into the complex array out (default: over
+    a); NumPy < 2.0 has no out= there, so its result is copied in."""
+    out = a if out is None else out
+    try:
+        return transform(a, axis=axis, out=out)
+    except TypeError:
+        out[...] = transform(a, axis=axis)
+        return out
 
 
 def default_thermal_config(detuning: float = -TWO_PI * 1.0e5) -> ExperimentConfig:

@@ -10,11 +10,12 @@ Welch PSD; eps = -1 cancels the heterodyne background and keeps only the
 beat-synchronous correlations.
 
 Every segment average runs through one driver, _segment_moments: a
-route's body gives the rows of each segment, and the driver adds them to a
+route's body gives the rows of one segment, and the driver adds them to a
 running mean and co-moment (Welford) in segment order, so any worker count
-gives the same bits. The stream basis and Welch run on every usable CPU;
-the t0, cross and lag-window bodies allocate, and stay on the calling
-thread (memory a helper thread allocates stays in its own malloc arena).
+gives the same bits; each route keeps its own memo entry. The stream basis
+and Welch run on every usable CPU (rhet.core._on_threads); the t0, cross
+and lag-window bodies allocate, and stay on the calling thread (memory a
+helper thread allocates stays in its own malloc arena).
 
 One engine serves the tbar spectrum, both phase maps and the cross-spectrum.
 Each segment gives two theta-independent streams, even in w and kept on
@@ -41,8 +42,8 @@ co-moments; a map's entry keeps the means alone and reads P0's moments
 from any entry the trace holds. Each build logs its route at DEBUG.
 
 eps = +1 makes F = 1, and both variants are then standard_psd: row 0 of
-any basis, t0 or Welch entry the trace holds, else one rfft per pair of
-segments, kept as the trace's Welch entry.
+any basis, t0 or Welch entry the trace holds, else one rfft per segment,
+kept as the trace's Welch entry.
 t0 uses the literal filter F = a + b s, a = (1+eps)/2, b = (1-eps)/2, s the
 +-1 square wave, so S = a P0 + b T with T = dt/N Re[conj(FFT(s i)) FFT(i)]
 per segment: the same engine on the rows (P0, T) with weights (a, b). Its
@@ -64,8 +65,6 @@ angular-frequency grids, S = dt * Re FFT(A), so sum(S) dw = 2 pi A(0).
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -74,7 +73,7 @@ import numpy as np
 
 from .analytic import filter_coefficients
 from .core import (TWO_PI, FilterSpec, PhaseSeries, Spectrum, TimeTrace,
-                   _spectrum_grid)
+                   _in_place, _integer, _on_threads, _spectrum_grid)
 
 _log = logging.getLogger(__name__)
 
@@ -125,17 +124,6 @@ def eval_filter(f: FilterSpec, t) -> np.ndarray:
     r.fill(f.epsilon)
     np.copyto(r, 1.0, where=plus)
     return r.reshape(psi.shape)
-
-
-def _in_place(transform, a, out=None, axis=-1):
-    """transform(a) along axis, into the complex array out (default: over
-    a); NumPy < 2.0 has no out= there, so its result is copied in."""
-    out = a if out is None else out
-    try:
-        return transform(a, axis=axis, out=out)
-    except TypeError:
-        out[...] = transform(a, axis=axis)
-        return out
 
 
 def _fft(a, out=None):
@@ -318,44 +306,14 @@ def psd_from_autocorr(ac: Autocorrelation, window: str = "rect",
                           "max_lag": max_lag, "n_fft": ac.n_fft, "dt": ac.dt})
 
 
-def _segments(trace: TimeTrace, segments: int) -> int:
-    """The length of each of `segments` segments, once the count is checked;
-    the trailing trace.n % segments samples are dropped."""
-    if segments < 1:
-        raise ValueError("segments must be >= 1")
+def _segments(trace: TimeTrace, segments: int):
+    """(segments as an int, the length of each segment), once the count is
+    checked; the trailing trace.n % segments samples are dropped."""
+    segments = _integer("segments", segments, 1)
     n_seg = trace.n // segments
     if n_seg < 16:
         raise ValueError("segments too short")
-    return n_seg
-
-
-def _thread_count(workers) -> int:
-    """workers, checked; None means every CPU this process may run on."""
-    if workers is None:
-        affinity = getattr(os, "sched_getaffinity", None)
-        return len(affinity(0)) if affinity else os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return workers
-
-
-def _on_threads(body, count, workers, consume=lambda out: None,
-                workspace=lambda: None):
-    """body(i, space) for i < count on k = min(workers, count) threads:
-    item i on slot i % k, slot 0 being the calling thread and the others
-    helpers of a pool made for this call. Each slot runs one item at a time
-    in its own space; the calling thread makes all k with workspace()
-    before any helper starts. consume(result) runs on the calling thread
-    in item order, and only then does that slot's next item start."""
-    k = min(workers, count)
-    spaces = [workspace() for _ in range(k)]
-    with ThreadPoolExecutor(max(k - 1, 1)) as pool:
-        pending = {i: pool.submit(body, i, spaces[i]) for i in range(1, k)}
-        for i in range(count):
-            slot = i % k
-            consume(pending.pop(i).result() if slot else body(i, spaces[0]))
-            if slot and i + k < count:
-                pending[i + k] = pool.submit(body, i + k, spaces[slot])
+    return segments, n_seg
 
 
 class _Moments:
@@ -394,24 +352,14 @@ class _Moments:
 
 
 def _segment_moments(trace: TimeTrace, segments: int, rows, workers=1,
-                     span=1, workspace=lambda: None, key=None,
-                     summed=False) -> _Moments:
-    """Moments of a route's rows over the segments of a trace, stored under
-    key (the entry held there, if any). Item i covers segments s = i*span..
-    (fewer at the end) on one of `workers` threads (see _on_threads):
-    rows(s, start, samples, space) gets segment s's absolute start time,
-    the item's samples and a workspace, and returns their rows, stacked.
-    With summed it returns (rows, z) for one segment, and the entry's total
-    is the sum of the z in segment order."""
-    if key in trace._bases:
-        return trace._bases[key]
-    n = _segments(trace, segments)
+                     workspace=lambda: None, summed=False) -> _Moments:
+    """Moments of a route's rows over the segments of a trace, one segment
+    per item on `workers` threads: rows(s, start, samples, space) gets
+    segment s's absolute start time, its samples and a workspace, and
+    returns its stacked rows (None for none), or with summed (rows, z):
+    the entry's total is then the sum of the z in segment order."""
+    n = _segments(trace, segments)[1]
     moments = _Moments()
-
-    def item(i, space):
-        s = i * span
-        samples = trace.samples[s * n:min(s + span, segments) * n]
-        return rows(s, s * n * trace.dt, samples, space)
 
     def consume(out):
         if summed:
@@ -420,14 +368,14 @@ def _segment_moments(trace: TimeTrace, segments: int, rows, workers=1,
                 moments.total = z.copy()
             else:
                 moments.total += z
-        for r in out:
-            moments.add(r)
+        if out is not None:
+            moments.add(out)
 
-    _on_threads(item, -(-segments // span), workers, consume, workspace)
+    _on_threads(lambda s, space: rows(s, s * n * trace.dt,
+                                      trace.samples[s * n:(s + 1) * n], space),
+                segments, workers, consume, workspace)
     if moments.mean is not None:
         _finite(moments.mean)
-    if key is not None:
-        trace._bases[key] = moments
     return moments
 
 
@@ -521,7 +469,7 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
         key += ("means",)
     if key in trace._bases:  # before the set-up and its DEBUG line
         return trace._bases[key]
-    n = _segments(trace, segments)
+    n = _segments(trace, segments)[1]
     h = n // 2 + 1
     dt, om = trace.dt, trace.omega_beat
     dyn = _drift_offset(trace, phase_correction)
@@ -556,14 +504,14 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
             np.multiply(y[n - 1:m - 1:-1], y[m:], out=x[m:])
             # 1 up to rounding; rounded as the transformed route's phasor
             scale *= _cis(2.0 * om * t_off)
-        rows = ()
+        rows = None
         if held is None:  # a static route's c[:h] holds FFT(seg) already
             if dyn is not None:
                 _in_place(np.fft.rfft, seg, c[:h])
             p0 = c[h:].view(float)[:h]
             np.square(np.abs(c[:h], out=p0), out=p0)
             p0 *= dt / n
-            rows = p0[None, None]
+            rows = p0[None]
         if not full:
             x *= scale
             return rows, x
@@ -574,10 +522,10 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
         g *= scale
         rows = x.view(float)[:3 * h].reshape(3, h)
         rows[0], rows[1], rows[2] = p0, g.real, g.imag
-        return rows[None], z
+        return rows, z
 
     moments = _segment_moments(
-        trace, segments, segment_rows, _thread_count(workers), summed=True,
+        trace, segments, segment_rows, workers, summed=True,
         workspace=lambda: tuple(np.empty(n, dtype=complex)
                                 for _ in range(3 if full else 2)))
     # Lag and pair are linear, so they run once, on the sum
@@ -596,14 +544,19 @@ def _stream_basis(trace: TimeTrace, segments: int, variant: str,
     return moments
 
 
-_T0_THETAS = 4  # theta entries of a trace's t0 memo; the oldest goes first
+# theta entries of a trace's t0 memo, oldest out first: the benchmark
+# ensemble revisits each of its 3 t0 theta after the other two; one spare
+_T0_THETAS = 4
 
 
 def _t0_moments(trace: TimeTrace, segments: int, f: FilterSpec,
                 phase_correction: Optional[PhaseSeries]) -> _Moments:
     """Moments of the (P0, T) rows over the segments of a trace, on the
     non-negative bins, s = f at eps = -1; see the module docstring."""
-    n, memo = _segments(trace, segments), trace._bases
+    n, memo = _segments(trace, segments)[1], trace._bases
+    key = ("t0", segments, _series_key(phase_correction), f.phase_offset)
+    if key in memo:
+        return memo[key]
     if ("rfft", segments) not in memo:
         memo["rfft", segments] = np.fft.rfft(
             trace.samples[:segments * n].reshape(segments, n))
@@ -621,11 +574,10 @@ def _t0_moments(trace: TimeTrace, segments: int, f: FilterSpec,
         np.square(np.abs(spectra[s], out=rows[0]), out=rows[0])
         rows[0] *= scale
         np.multiply(z.real, scale, out=rows[1])
-        return rows[None]
+        return rows
 
-    moments = _segment_moments(
-        trace, segments, t0_rows, workspace=lambda: np.empty((2, n // 2 + 1)),
-        key=("t0", segments, _series_key(phase_correction), f.phase_offset))
+    moments = memo[key] = _segment_moments(
+        trace, segments, t0_rows, workspace=lambda: np.empty((2, n // 2 + 1)))
     for old in [k for k in memo if k[0] == "t0"][:-_T0_THETAS]:
         del memo[old]
     return moments
@@ -639,22 +591,20 @@ def standard_psd(trace: TimeTrace, segments: int = 1) -> Spectrum:
     Welch entry the trace holds for the same segments, if any; else its
     moments are stored as the trace's Welch entry.
     """
-    n = _segments(trace, segments)
+    segments, n = _segments(trace, segments)
     moments = _held_p0(trace, segments)
     if moments is None:
-        def periodograms(s, start, pair, space):
-            f, p = (a[:pair.size // n] for a in space)
-            _in_place(np.fft.rfft, pair.reshape(-1, n), f)
-            np.abs(f, out=p[:, 0])
+        def periodogram(s, start, segment, space):
+            f, p = space
+            np.abs(_in_place(np.fft.rfft, segment, f), out=p[0])
             np.square(p, out=p)
             p *= trace.dt / n
             return p
 
-        moments = _segment_moments(
-            trace, segments, periodograms, _thread_count(None), span=2,
-            workspace=lambda: (np.empty((2, n // 2 + 1), dtype=complex),
-                               np.empty((2, 1, n // 2 + 1))),
-            key=("welch", segments))
+        moments = trace._bases["welch", segments] = _segment_moments(
+            trace, segments, periodogram, None,
+            workspace=lambda: (np.empty(n // 2 + 1, dtype=complex),
+                               np.empty((1, n // 2 + 1))))
     return _spectrum(moments, np.eye(1, len(moments.mean)), n, trace.dt,
                      {"kind": "welch", "segments": segments,
                       "window": "boxcar"})
@@ -682,7 +632,7 @@ def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
     fspec = FilterSpec(epsilon=epsilon, omega_beat=trace.omega_beat,
                        phase_offset=2.0 * theta,
                        dynamic_offset=_drift_offset(trace, phase_correction))
-    n_fft = _segments(trace, segments)
+    segments, n_fft = _segments(trace, segments)
     meta = {"kind": "rhet", "variant": variant, "epsilon": float(epsilon),
             "theta": float(theta), "segments": segments, "window": window,
             "max_lag": max_lag, "corrected": phase_correction is not None,
@@ -693,7 +643,7 @@ def rhet_spectrum(trace: TimeTrace, epsilon: float, theta: float,
                                    max_lag=max_lag, variant=variant,
                                    t_offset=t_off)
             psd = psd_from_autocorr(ac, window, max_lag).values
-            return psd[n_fft // 2::-1][None, None]  # its non-negative bins
+            return psd[n_fft // 2::-1][None]  # its non-negative bins
 
         moments, a = _segment_moments(trace, segments, lag_rows), np.eye(1)
     elif epsilon == 1.0:
@@ -721,7 +671,7 @@ def complex_corr_spectrum(trace: TimeTrace, segments: int = 1) -> Spectrum:
     is the total (real plus imaginary) across-segment variance of the mean.
     """
     om = trace.omega_beat
-    n_seg = _segments(trace, segments)
+    segments, n_seg = _segments(trace, segments)
     local = _cis((-om) * (np.arange(n_seg) * trace.dt))
 
     def cross_rows(s, t_off, seg, space):
@@ -730,7 +680,7 @@ def complex_corr_spectrum(trace: TimeTrace, segments: int = 1) -> Spectrum:
         c = _pair(np.multiply, _in_place(np.fft.fft, v), n_seg)
         np.conj(c, out=c)
         c *= trace.dt / n_seg
-        return np.stack((c.real, c.imag))[None]
+        return np.stack((c.real, c.imag))
 
     moments = _segment_moments(trace, segments, cross_rows)
     return _spectrum(moments, np.array([[1.0, 1j]]), n_seg, trace.dt,

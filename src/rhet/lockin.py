@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import TWO_PI, PhaseSeries, Spectrum, TimeTrace
-from .estimator import _finite, _in_place, rhet_spectrum
+from .core import TWO_PI, PhaseSeries, Spectrum, TimeTrace, _in_place
+from .estimator import _finite, rhet_spectrum
 
 # envelope at the beat must beat the control band by this factor
 _DETECT_RATIO = 10.0

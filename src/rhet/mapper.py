@@ -6,14 +6,15 @@ segment means of the trace's stream basis (see rhet.estimator):
     S(theta, w) = c0 * P0(w) + c1 * Re[e^{-i 2 theta} G(w)]
 
 The fast path reads those means alone. The estimator's segment driver
-builds its entry on `workers` threads (None: every usable CPU) with one
-lag step per map, not per segment, and takes P0 from a Welch, t0 or basis
-entry the trace already holds; the rows are then filled in blocks on as
-many threads, elementwise in a fixed order: any count gives the same
-bits. The exact path calls rhet_spectrum per theta, which in tbar (or
-eps = +1) reads the same means, so the map equals the fast map to the
-bit. A t0 exact map samples the true square wave while the fast path
-keeps the fundamental only, a couple percent on band-limited spectra.
+builds its entry on `workers` threads (None: every usable CPU; rhet.core's
+thread helper checks the count) with one lag step per map, not per
+segment, and takes P0 from a Welch, t0 or basis entry the trace already
+holds; the rows are then filled in blocks of 16 theta on as many threads,
+elementwise in a fixed order: any count gives the same bits. The exact
+path calls rhet_spectrum per theta, which in tbar (or eps = +1) reads the
+same means, so the map equals the fast map to the bit. A t0 exact map
+samples the true square wave while the fast path keeps the fundamental
+only, a couple percent on band-limited spectra.
 """
 from __future__ import annotations
 
@@ -22,15 +23,13 @@ from typing import Optional
 import numpy as np
 
 from .core import (FilterSpec, PhaseSeries, Spectrum, ThetaMap, TimeTrace,
-                   _fits)
-from .estimator import (_combine, _on_threads, _quadrature_weights,
-                        _segments, _spectrum_grid, _stream_basis,
-                        _thread_count, rhet_spectrum)
+                   _fits, _integer, _on_threads, _spectrum_grid)
+from .estimator import (_combine, _quadrature_weights, _segments,
+                        _stream_basis, rhet_spectrum)
 
 
 def _theta_grid(n_theta: int) -> np.ndarray:
-    if n_theta < 2:
-        raise ValueError("n_theta must be >= 2")
+    n_theta = _integer("n_theta", n_theta, 2)
     return np.linspace(0.0, np.pi, n_theta, endpoint=False)
 
 
@@ -47,11 +46,12 @@ def _band_mask(freqs: np.ndarray, band) -> np.ndarray:
 
 
 def _map_grid(trace: TimeTrace, segments: int, band):
-    """Segment length, in-band frequencies and band mask of a map."""
-    n_seg = _segments(trace, segments)
+    """Segment count (an int), segment length, in-band frequencies and
+    band mask of a map."""
+    segments, n_seg = _segments(trace, segments)
     freqs = _spectrum_grid(n_seg, trace.dt)
     mask = _band_mask(freqs, band)
-    return n_seg, freqs[mask], mask
+    return segments, n_seg, freqs[mask], mask
 
 
 def theta_map_exact(trace: TimeTrace, epsilon: float, n_theta: int = 800,
@@ -59,7 +59,7 @@ def theta_map_exact(trace: TimeTrace, epsilon: float, n_theta: int = 800,
                     band=None, phase_correction: Optional[PhaseSeries] = None
                     ) -> ThetaMap:
     """Reference map: one rhet_spectrum call per theta row."""
-    _, freqs, mask = _map_grid(trace, segments, band)
+    segments, _, freqs, mask = _map_grid(trace, segments, band)
     with _fits(f"a map of {n_theta} theta by {freqs.size} columns"):
         thetas = _theta_grid(n_theta)
         rows = np.empty((n_theta, freqs.size))
@@ -81,8 +81,7 @@ def theta_map_fast(trace: TimeTrace, epsilon: float, n_theta: int = 800,
     if variant not in ("t0", "tbar"):
         raise ValueError("variant must be 't0' or 'tbar'")
     FilterSpec(epsilon=epsilon, omega_beat=trace.omega_beat)  # checks epsilon
-    workers = _thread_count(workers)
-    n_seg, freqs, mask = _map_grid(trace, segments, band)
+    segments, n_seg, freqs, mask = _map_grid(trace, segments, band)
     size = f"a map of {n_theta} theta by {freqs.size} columns"
     with _fits(size):
         thetas = _theta_grid(n_theta)

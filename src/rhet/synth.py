@@ -43,8 +43,7 @@ import numpy as np
 
 from .analytic import _model_rows
 from .core import (TWO_PI, ExperimentConfig, PhaseSeries, TimeTrace,
-                   _fits, check_config)
-from .estimator import _in_place, _on_threads, _thread_count
+                   _fits, _in_place, _on_threads, check_config)
 
 
 def phase_drift(t, theta0: float, amplitude: float, freq_hz: float) -> np.ndarray:
@@ -187,7 +186,6 @@ def synth_gaussian_trace(cfg: ExperimentConfig, duration: float, dt: float,
     if not 0 < duration < np.inf:
         raise ValueError("duration must be positive and finite")
     d = cfg.drift
-    threads = _thread_count(None)
     with _fits("a trace of {} samples", duration / dt):
         n = int(round(duration / dt))
         if n < 16:
@@ -217,7 +215,7 @@ def synth_gaussian_trace(cfg: ExperimentConfig, duration: float, dt: float,
                     _draw_normals(rng, z, walk)
                 _fill_factors(cfg, n, dt, factors, starts)
 
-            _on_threads(fill, 2, threads)
+            _on_threads(fill, 2)
             for f in factors:
                 f.flags.writeable = False
             _memo = (cfg, n, dt), factors
@@ -258,7 +256,7 @@ def synth_gaussian_trace(cfg: ExperimentConfig, duration: float, dt: float,
         c += np.multiply(a.imag, sin, out=sin)
         np.add(c, pilot, out=ph)
 
-    _on_threads(modulate, -(-n // _BLOCK), threads,
+    _on_threads(modulate, -(-n // _BLOCK),
                 workspace=lambda: (np.empty(min(n, _BLOCK)),
                                    np.empty(min(n, _BLOCK))))
     return TimeTrace(samples=cur, dt=dt, omega_beat=cfg.omega_beat,

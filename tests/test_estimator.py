@@ -103,7 +103,7 @@ def test_eval_filter_mask_is_np_mods_to_the_bit(omega, phase, eps, dt, offset,
 
 
 def test_spectrum_grid_is_shared_read_only_and_fftfreqs():
-    from rhet.estimator import _spectrum_grid
+    from rhet.core import _spectrum_grid
     for n in (16, 17, 4095, 4096, 39062, 156250, 156251):
         for dt in (2e-7, 1.0 / 3.0):
             grid = _spectrum_grid(n, dt)
@@ -816,9 +816,8 @@ def test_stream_basis_logs_its_route(short_trace, caplog):
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_threaded_welch_is_a_serial_welford_pass(short_trace, monkeypatch,
                                                  cpus):
-    # the fallback's segments run on every usable CPU and add up in order
-    # as one rfft per pair of segments: even and odd counts, the last pair
-    # of an odd count holding one segment
+    # the fallback's segments run on every usable CPU, one rfft per
+    # segment, and add up in order: even and odd counts
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     dt = short_trace.dt
@@ -842,7 +841,7 @@ def test_on_threads_gives_each_item_in_flight_its_own_space(workers):
     import random
     import threading
     import time
-    from rhet.estimator import _on_threads
+    from rhet.core import _on_threads
     rng = random.Random(workers)
     for count in range(1, 10):
         spaces, held, consumed, lock = [], {}, [], threading.Lock()
@@ -875,16 +874,14 @@ def test_on_threads_gives_each_item_in_flight_its_own_space(workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("span", [1, 2])
-def test_segment_driver_adds_out_of_order_items_in_segment_order(workers,
-                                                                 span):
+def test_segment_driver_adds_out_of_order_items_in_segment_order(workers):
     # items sleep at random, so helpers finish out of order; the driver
     # still adds every segment's rows in segment order, the bits of a
-    # serial _Moments pass, and slices each item's start and samples itself
+    # serial _Moments pass, and slices each segment's start and samples
     import random
     import time
     from rhet.estimator import _Moments, _segment_moments
-    rng, pause = np.random.default_rng(span), random.Random(workers)
+    rng, pause = np.random.default_rng(workers), random.Random(workers)
     for segments in (1, 3, 5, 7):
         trace = TimeTrace(samples=rng.standard_normal(segments * 64 + 5),
                           dt=1e-3, omega_beat=OMEGA)
@@ -894,27 +891,20 @@ def test_segment_driver_adds_out_of_order_items_in_segment_order(workers,
 
         def rows(s, start, samples, space):
             time.sleep(pause.random() * 2e-3)
-            m = min(span, segments - s)
             assert start == s * n * trace.dt
             assert samples.tobytes() == \
-                trace.samples[s * n:(s + m) * n].tobytes()
+                trace.samples[s * n:(s + 1) * n].tobytes()
             seen.append(s)
-            return per_segment[s:s + m]
+            return per_segment[s]
 
-        got = _segment_moments(trace, segments, rows, workers, span,
-                               key=("fake", segments))
+        got = _segment_moments(trace, segments, rows, workers)
         want = _Moments()
         for r in per_segment:
             want.add(r)
-        assert sorted(seen) == list(range(0, segments, span))
+        assert sorted(seen) == list(range(segments))
         assert got.count == segments
         assert got.mean.tobytes() == want.mean.tobytes()
         assert got.m2.tobytes() == want.m2.tobytes()
-        # a held key returns its entry without running the body
-        seen.clear()
-        again = _segment_moments(trace, segments, rows, workers, span,
-                                 key=("fake", segments))
-        assert again is got and not seen
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -938,3 +928,48 @@ def test_calling_thread_routes_and_welch_ignore_the_cpu_count(short_trace,
                           window="hann", max_lag=2e-4))]
 
     assert outputs(cpus) == outputs(1)
+
+
+
+_COUNTED = {
+    "standard_psd.segments": ("segments", lambda tr, v: standard_psd(
+        tr, segments=v)),
+    "rhet_spectrum.segments": ("segments", lambda tr, v: rhet_spectrum(
+        tr, -0.5, 0.3, segments=v)),
+    "complex_corr_spectrum.segments": ("segments", lambda tr, v:
+                                       complex_corr_spectrum(tr, segments=v)),
+    "theta_map_fast.segments": ("segments", lambda tr, v: theta_map_fast(
+        tr, 0.0, n_theta=4, segments=v)),
+    "theta_map_exact.segments": ("segments", lambda tr, v: theta_map_exact(
+        tr, 0.0, n_theta=4, segments=v)),
+    "theta_map_fast.n_theta": ("n_theta", lambda tr, v: theta_map_fast(
+        tr, 0.0, n_theta=v)),
+    "theta_map_exact.n_theta": ("n_theta", lambda tr, v: theta_map_exact(
+        tr, 0.0, n_theta=v)),
+    "theta_map_fast.workers": ("workers", lambda tr, v: theta_map_fast(
+        tr, 0.0, n_theta=4, workers=v)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, np.True_, np.int64(2),
+                                   np.uint8(2)],
+                         ids=["2.5", "2.0", "True", "np.True_", "np.int64",
+                              "np.uint8"])
+@pytest.mark.parametrize("call", _COUNTED.values(), ids=_COUNTED.keys())
+def test_counts_take_integers_and_name_any_other_value(noise_trace, call,
+                                                       value):
+    # a bool or a non-integral count raises a ValueError naming the
+    # argument; a numpy integer gives the bytes and meta of the same int
+    name, fn = call
+    if not isinstance(value, np.integer):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer, not "):
+            fn(_fresh(noise_trace), value)
+        return
+
+    def read(out):
+        data = out.values if hasattr(out, "values") else out.spectra
+        return data.tobytes(), {k: (type(v), v) for k, v in out.meta.items()}
+
+    assert read(fn(_fresh(noise_trace), value)) == \
+        read(fn(_fresh(noise_trace), int(value)))

@@ -601,6 +601,37 @@ def test_compare_rejects_disjoint_grids():
             compare_spectra(a, a, band=band)
 
 
+def test_vertex_peak_falls_back_to_the_largest_bin():
+    from rhet.io import _vertex_peak
+    # a window under 5 bins: 4 bins of which bin 1 is largest
+    f = np.arange(4.0)
+    assert _vertex_peak(f, np.array([1.0, -4.0, 2.0, 0.5])) == (1.0, -4.0)
+    # a flat window: 7 bins on one frequency
+    v = np.array([0.0, 1.0, 5.0, 1.0, 0.0, 0.0, 0.0])
+    assert _vertex_peak(np.full(7, 2.0), v) == (2.0, 5.0)
+    # zero curvature: an all-zero band of 60 bins fits c2 = 0 exactly on
+    # the 5-bin window at bin 0 (a RuntimeWarning is an error here)
+    f = np.linspace(1.0, 60.0, 60)
+    assert _vertex_peak(f, np.zeros(60)) == (1.0, 0.0)
+    # the vertex outside the window: (f + 10)^2 peaks in |v| at the last
+    # bin, f = 60, and its fit over f = 55..60 has its vertex at f = -10
+    assert _vertex_peak(f, (f + 10.0) ** 2) == (60.0, 4900.0)
+
+
+def test_compare_spectra_pearson_of_a_constant_band():
+    # a constant band has no correlation coefficient: equal bands read
+    # 1.0, a constant band against any other reads 0.0
+    f = TWO_PI * np.linspace(0.0, 1e3, 16)
+    flat = Spectrum(freqs=f, values=np.full(16, 2.0))
+    ramp = Spectrum(freqs=f, values=np.linspace(1.0, 3.0, 16))
+    assert compare_spectra(flat, flat)["pearson"] == 1.0
+    assert compare_spectra(flat, flat)["pass"]
+    for a, b in ((flat, ramp), (ramp, flat),
+                 (flat, Spectrum(freqs=f, values=np.full(16, 3.0)))):
+        rep = compare_spectra(a, b)
+        assert rep["pearson"] == 0.0 and not rep["pass"]
+
+
 # -------------------------------------------------------------------- CLI
 
 @pytest.fixture(scope="module")

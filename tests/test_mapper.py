@@ -14,9 +14,8 @@ from rhet import (GridError, PhaseDriftSpec, PhaseSeries, Spectrum,
                   normalize_map, peak_amplitude, peak_location, rhet_spectrum,
                   standard_psd, synth_gaussian_trace, theta_map_exact,
                   theta_map_fast, zero_contour)
-from rhet.core import TWO_PI, TimeTrace
-from rhet.estimator import (_combine, _quadrature_weights, _stream_basis,
-                            _thread_count)
+from rhet.core import TWO_PI, TimeTrace, _thread_count
+from rhet.estimator import _combine, _quadrature_weights, _stream_basis
 
 
 def _band(cfg):
@@ -87,6 +86,18 @@ def test_normalize_map_scales_and_records(short_trace):
         normalize_map(m, 0.0)
     with pytest.raises(ValueError):
         normalize_map(m, -1.0)
+
+
+def test_quad_vertex_falls_back_to_the_extreme_sample():
+    # the fit's vertex outside the window, and a fit with no curvature,
+    # read the sample farthest from the window's median
+    from rhet.mapper import _quad_vertex
+    x = np.arange(-3.0, 4.0)
+    # (x + 10)^2 rises over the window, its vertex at x = -10; the median
+    # is 100, and 169 at x = 3 lies farther from it than 49 at x = -3
+    assert _quad_vertex(x, (x + 10.0) ** 2) == (3.0, 169.0)
+    # an all-zero window fits c = 0 exactly: the first sample, no warning
+    assert _quad_vertex(x, np.zeros(7)) == (-3.0, 0.0)
 
 
 def test_peak_readers_on_synthetic_features():

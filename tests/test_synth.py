@@ -1,6 +1,7 @@
 """Synthesizer: deterministic tones, modulation algebra, and statistical
 agreement of the Gaussian draw with the model it claims to sample."""
 import dataclasses
+import os
 import sys
 import threading
 import tracemalloc
@@ -301,6 +302,12 @@ def _serial_current(cfg, n, dt, seed, pilot_amplitude, factors):
     return cur
 
 
+def _cpus(monkeypatch, count):
+    """Make the default worker count, the usable CPUs, read count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("drift", [PhaseDriftSpec(),
                                    PhaseDriftSpec(0.785, 25.0, "sine"),
@@ -312,7 +319,7 @@ def test_synth_bytes_equal_the_serial_draw(thermal_cfg, monkeypatch, n,
     # 270 000 samples make 135 001 bins: three factor blocks, the last one
     # short, and five draw and modulation blocks; each seed and pilot runs
     # on a cold memo and then on a warm one
-    monkeypatch.setattr(rhet.synth, "_thread_count", lambda workers: threads)
+    _cpus(monkeypatch, threads)
     cfg = dataclasses.replace(thermal_cfg, drift=drift)
     dt = 2e-7
     factors = _serial_factors(cfg, n, dt)
@@ -334,7 +341,7 @@ def test_synth_bytes_equal_the_serial_draw_on_every_model_config(
         thermal_cfg, monkeypatch):
     # two factor blocks, shared by two threads on a cold memo, for each
     # config of the reference model pass's test
-    monkeypatch.setattr(rhet.synth, "_thread_count", lambda workers: 2)
+    _cpus(monkeypatch, 2)
     n, dt = 140_000, 2e-7
     for name, cfg in _model_configs(thermal_cfg).items():
         monkeypatch.setattr(rhet.synth, "_memo", (None, None))
@@ -349,7 +356,7 @@ def test_synth_threads_under_stress_keep_the_serial_bytes(thermal_cfg,
     # at once on one cold memo: each fills its own factors, on two threads
     # that share its iterator of blocks, and stores them whole, and every
     # trace keeps the bytes of the serial draw
-    monkeypatch.setattr(rhet.synth, "_thread_count", lambda workers: 5)
+    _cpus(monkeypatch, 5)
     cfg = dataclasses.replace(thermal_cfg,
                               drift=PhaseDriftSpec(0.785, 25.0, "sine"))
     n, dt = 270_000, 2e-7
@@ -400,8 +407,7 @@ def test_synth_factor_memo_contract(thermal_cfg, monkeypatch):
     monkeypatch.setattr(rhet.synth, "_fill_factors", counted)
     n, dt = 140_000, 2e-7  # 70 001 bins: two blocks
     for threads in (1, 2):
-        monkeypatch.setattr(rhet.synth, "_thread_count",
-                            lambda workers: threads)
+        _cpus(monkeypatch, threads)
         monkeypatch.setattr(rhet.synth, "_memo", (None, None))
         fills.clear()
         cold = synth_gaussian_trace(thermal_cfg, n * dt, dt, seed=9)
